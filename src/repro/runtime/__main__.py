@@ -121,7 +121,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=2.0,
         metavar="SECONDS",
-        help="no-progress seconds before a push escalates to supervision",
+        help=(
+            "no-progress seconds before a push to a live but non-draining "
+            "worker escalates to supervision (an exited worker is "
+            "detected on the first full-ring retry)"
+        ),
     )
     parser.add_argument(
         "--liveness-deadline",

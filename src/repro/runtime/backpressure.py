@@ -16,9 +16,12 @@ worker's drain step as the callback and the policies call it instead of
 sleeping.
 
 **No wait here is unbounded.**  A crashed or wedged consumer must never
-hang the source, so every lossless wait is clipped twice: by
-``deadline`` -- seconds of *no ring progress* (progress resets it) --
-and by a retry-count backstop when no deadline is given.  Both raise
+hang the source.  A consumer that has already *exited* is caught by the
+optional ``alive`` probe, consulted on every full-ring retry before the
+wait: the first retry against a dead consumer raises.  A consumer that
+is alive but not draining (wedged) is clipped twice: by ``deadline`` --
+seconds of *no ring progress* (progress resets it) -- and by a
+retry-count backstop when no deadline is given.  Every path raises
 :class:`RingStallError` carrying exact partial-progress accounting
 (``pushed``/``stalls``), which is what lets the supervision layer
 (:mod:`repro.runtime.supervision`) resume or reroute the remainder of
@@ -96,16 +99,18 @@ def push_with_backpressure(
     policy: str,
     drain: Optional[Callable[[], int]] = None,
     deadline: Optional[float] = None,
+    alive: Optional[Callable[[], bool]] = None,
 ) -> PushOutcome:
     """Push every message (or account for every drop) under ``policy``.
 
     ``block`` and ``spin`` guarantee ``dropped == 0``: the call returns
     only once the ring accepted all messages, or raises
-    :class:`RingStallError` once the ring has made no progress for
-    ``deadline`` seconds (or through the retry backstop when
-    ``deadline`` is None).  ``drop`` pushes what fits immediately and
-    sheds the rest.  ``drain``, when given, replaces waiting entirely
-    (simulated-rings mode).
+    :class:`RingStallError` as soon as ``alive`` reports the consumer
+    gone, or once the ring has made no progress for ``deadline``
+    seconds (or through the retry backstop when ``deadline`` is None).
+    ``drop`` pushes what fits immediately and sheds the rest, never
+    consulting ``alive``.  ``drain``, when given, replaces waiting
+    entirely (simulated-rings mode).
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -136,6 +141,14 @@ def push_with_backpressure(
             # loop forever in one thread, so fail over to supervision.
             raise RingStallError(
                 "simulated-ring drain made no progress on a full ring",
+                pushed=offset,
+                stalls=stalls,
+            )
+        if alive is not None and not alive():
+            # The consumer has exited: no amount of waiting will free a
+            # slot, so escalate now instead of sleeping out the deadline.
+            raise RingStallError(
+                "ring is full and its consumer has exited",
                 pushed=offset,
                 stalls=stalls,
             )

@@ -37,12 +37,13 @@ here is its deterministic replay path, least-loaded-of-d over counters.)
 
 **Supervision & recovery.**  The source doubles as supervisor: workers
 heartbeat into the second lane of the progress block on every drain
-step, pushes carry a *no-progress* deadline
-(:class:`~repro.runtime.backpressure.RingStallError`), and a tripped
-deadline starts an assessment -- observed death is ``"exit"``, beat
-silence past ``liveness_deadline`` is condemnation (``"wedged"``,
-terminate->kill escalated).  What happens next is
-``RuntimeConfig.recovery``:
+step, a full-ring push escalates
+(:class:`~repro.runtime.backpressure.RingStallError`) on its first
+retry once the worker process has exited, or after a *no-progress*
+deadline while it lives, and the escalation starts an assessment --
+observed death is ``"exit"``, beat silence past ``liveness_deadline``
+is condemnation (``"wedged"``, terminate->kill escalated).  What
+happens next is ``RuntimeConfig.recovery``:
 
 * ``fail``    -- unwind cleanly; the result is partial and labeled
   ``status="failed"`` with exact loss accounting, never a hang.
@@ -185,9 +186,12 @@ class RuntimeConfig:
     faults: Optional[FaultPlan] = None
     #: seconds a lossless push may see *no ring progress* before the
     #: stall is escalated to supervision (None = retry-count backstop).
-    #: Escalation is an assessment, not a condemnation -- a live,
-    #: beating worker just gets the push retried -- so this can be far
-    #: tighter than the liveness deadline; it bounds detection latency.
+    #: A worker that has already exited is detected on the first
+    #: full-ring retry via its process state, so this bounds only
+    #: consumers that are alive but not draining.  Escalation is an
+    #: assessment, not a condemnation -- a live, beating worker just
+    #: gets the push retried -- so this can be far tighter than the
+    #: liveness deadline.
     push_deadline: Optional[float] = 2.0
     #: seconds of heartbeat silence before a worker is condemned.
     liveness_deadline: float = 5.0
@@ -614,6 +618,7 @@ class _ProcessBackend:
             stamps,
             self.config.policy,
             deadline=deadline,
+            alive=self.processes[worker].is_alive,
         )
 
     def worker_alive(self, worker: int) -> bool:
@@ -1193,6 +1198,7 @@ def run_runtime(
                 routed_tick = time.perf_counter()  # repro: noqa[REPRO002]
                 route_seconds += routed_tick - tick
                 flushed_before = flush_seconds
+                recovered_before = sup.recovery_seconds
                 # Scatter: group the chunk's message ids by worker with the
                 # stable counting sort, then append each worker's segment to
                 # its staging row, flushing whenever a row fills.  Stability
@@ -1215,9 +1221,11 @@ def run_runtime(
                         if stage_fill[w] == flush:
                             flush_worker(w)
                 scatter_tick = time.perf_counter()  # repro: noqa[REPRO002]
+                # flush_worker books flush stall and recovery separately;
+                # both are excluded here so no second lands in two stages.
                 scatter_seconds += (scatter_tick - routed_tick) - (
                     flush_seconds - flushed_before
-                )
+                ) - (sup.recovery_seconds - recovered_before)
             for w in range(num_workers):
                 flush_worker(w)
         except RunAborted as exc:

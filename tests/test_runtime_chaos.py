@@ -270,3 +270,45 @@ class TestProcessChaosMatrix:
             s.describe() for s in plan.specs
         )
         assert result.conservation_ok
+
+
+class TestFailureCost:
+    """Failure handling costs what the failure costs, and no more."""
+
+    @needs_processes
+    def test_exited_worker_is_detected_without_the_push_deadline(self):
+        # Worker 1's ring fills after it exits, so the source's push
+        # stalls on a dead consumer.  Detection must come from the
+        # process state on the first full-ring retry; waiting out the
+        # 30 s push deadline would blow the bound below.
+        plan = FaultPlan.parse(["kill:w=1@n=2000"], seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            process_config("restart", plan, push_deadline=30.0),
+        )
+        replay = replay_stream(STREAM, make_partitioner("pkg", 4, seed=42))
+        assert result.status == "ok", result.failures
+        np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
+        assert [f["reason"] for f in result.failures] == ["exit"]
+        assert result.stall_timeouts == 1
+        stages = result.stage_seconds
+        assert stages["flush_stall"] + stages["recovery"] < 5.0
+
+    @pytest.mark.parametrize(
+        "mode",
+        [pytest.param("process", marks=needs_processes), "simulated"],
+    )
+    def test_stage_seconds_do_not_exceed_wall(self, mode):
+        # Every stage is a disjoint slice of the run's wall clock, so
+        # recovery must not also be booked under scatter or flush.
+        plan = FaultPlan.parse(["kill:w=1@n=2000"], seed=42)
+        make_config = process_config if mode == "process" else simulated_config
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            make_config("restart", plan),
+        )
+        assert result.restarts == 1
+        assert result.stage_seconds["recovery"] > 0.0
+        assert sum(result.stage_seconds.values()) <= result.wall_seconds + 1e-4

@@ -12,6 +12,7 @@ masking with deterministic deputies, and the recovery knobs on
 import math
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -231,11 +232,96 @@ class TestPushDeadline:
         )
         assert outcome.pushed == 400
 
+    @pytest.mark.parametrize("policy", ["block", "spin"])
+    def test_exited_consumer_raises_on_first_stalled_retry(self, policy):
+        # The liveness probe says the consumer is gone: the push must
+        # escalate on its first full-ring retry, not wait out the
+        # deadline, with the same exact partial accounting.
+        ring = SpscRing.create_local(64)
+        ids = np.arange(100, dtype=np.int64)
+        stamps = np.zeros(100, dtype=np.float64)
+        start = time.perf_counter()
+        with pytest.raises(RingStallError) as err:
+            push_with_backpressure(
+                ring, ids, stamps, policy, deadline=10.0, alive=lambda: False
+            )
+        assert time.perf_counter() - start < 1.0
+        assert err.value.pushed == 64
+        assert err.value.stalls == 1
+
+    def test_live_consumer_probe_keeps_the_deadline(self):
+        # A consumer reported alive but not draining is still bounded by
+        # the deadline alone; the probe is consulted on every retry.
+        probes = []
+
+        def alive():
+            probes.append(1)
+            return True
+
+        ring = SpscRing.create_local(64)
+        ids = np.arange(100, dtype=np.int64)
+        stamps = np.zeros(100, dtype=np.float64)
+        start = time.perf_counter()
+        with pytest.raises(RingStallError) as err:
+            push_with_backpressure(
+                ring, ids, stamps, "block", deadline=0.1, alive=alive
+            )
+        assert time.perf_counter() - start >= 0.1
+        assert err.value.pushed == 64
+        assert len(probes) == err.value.stalls > 1
+
+    def test_live_consumer_progress_resets_the_deadline(self):
+        # A live consumer draining slower than the deadline, but never
+        # pausing for a whole deadline, lets the push complete.
+        ring = SpscRing.create_local(8)
+        ids = np.arange(200, dtype=np.int64)
+        stamps = np.zeros(200, dtype=np.float64)
+        popped = []
+        stop = threading.Event()
+
+        def consume():
+            while not stop.is_set() and len(popped) < ids.size:
+                got, _ = ring.try_pop(8)
+                popped.extend(got.tolist())
+                time.sleep(0.02)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        try:
+            start = time.perf_counter()
+            outcome = push_with_backpressure(
+                ring, ids, stamps, "block", deadline=0.3, alive=lambda: True
+            )
+            elapsed = time.perf_counter() - start
+        finally:
+            consumer.join(timeout=10.0)
+            stop.set()
+        assert outcome.pushed == 200 and outcome.dropped == 0
+        assert elapsed > 0.3  # outlived the deadline without tripping it
+        assert popped == ids.tolist()
+
+    def test_drop_policy_never_consults_the_probe(self):
+        probes = []
+
+        def alive():
+            probes.append(1)
+            return False
+
+        ring = SpscRing.create_local(64)
+        ids = np.arange(100, dtype=np.int64)
+        stamps = np.zeros(100, dtype=np.float64)
+        outcome = push_with_backpressure(
+            ring, ids, stamps, "drop", deadline=10.0, alive=alive
+        )
+        assert (outcome.pushed, outcome.dropped, outcome.stalls) == (64, 36, 1)
+        assert probes == []
+
     @needs_processes
     def test_killed_consumer_mid_push_fails_cleanly(self):
         # Real worker process crashes mid-stream with a tiny ring: the
-        # source's push deadline trips, the fail policy aborts cleanly,
-        # and the result is labeled with exact loss accounting.
+        # source's full-ring push sees the exited process on its first
+        # retry, the fail policy aborts cleanly, and the result is
+        # labeled with exact loss accounting.
         plan = FaultPlan.parse(["kill:w=1@n=100"], seed=3)
         result = run_runtime(
             STREAM,
