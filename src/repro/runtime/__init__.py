@@ -27,7 +27,6 @@ contract.
 from repro.runtime.backpressure import (
     POLICIES,
     PushOutcome,
-    RingStalledError,
     RingStallError,
     push_with_backpressure,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "PushOutcome",
     "RECOVERY_POLICIES",
     "RingStallError",
-    "RingStalledError",
     "RuntimeConfig",
     "RuntimeResult",
     "SpscRing",

@@ -2,14 +2,15 @@
 
 Runs one stream through the sharded runtime per scheme and prints a
 table of per-worker counts, end-to-end throughput, the per-stage wall
-breakdown (route / scatter / flush-stall / drain) and p99 sojourn.
-``--verify`` additionally replays the same stream through the
-single-process engine with a fresh partitioner and asserts the
-per-worker counts match exactly (the determinism contract); the exit
-code is non-zero on any mismatch.  ``--streaming`` generates the keys
-chunk-wise through the dataset's ``ChunkSource`` instead of
-materialising them (the verify replay then re-iterates the same source
--- byte-identical by construction).  ``--bench`` merges the measured
+breakdown (route / scatter / flush-stall / drain / recovery) and p99
+sojourn.  ``--verify`` additionally replays the same stream through
+the single-process engine with a fresh partitioner and asserts the
+per-worker counts match exactly (the determinism contract), and that
+the stage seconds sum to the wall time within 1 ms (closed stage
+accounting); the exit code is non-zero on any mismatch.
+``--streaming`` generates the keys chunk-wise through the dataset's
+``ChunkSource`` instead of materialising them (the verify replay then
+re-iterates the same source -- byte-identical by construction).  ``--bench`` merges the measured
 ``<scheme>@e2e`` entries into ``BENCH_partitioners.json``.
 
 Fault injection and recovery: ``--fault kill:w=1@n=5000`` (repeatable)
@@ -37,6 +38,9 @@ from repro.runtime.engine import (
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.supervision import RECOVERY_POLICIES
+
+#: seconds by which a run's stage seconds may miss its wall time.
+_STAGE_TOLERANCE = 1e-3
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -237,12 +241,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{'':>16}  stages: route={stages['route'] * 1e3:.1f}ms "
             f"scatter={stages['scatter'] * 1e3:.1f}ms "
             f"flush_stall={stages['flush_stall'] * 1e3:.1f}ms "
-            f"drain={stages['drain'] * 1e3:.1f}ms  "
+            f"drain={stages['drain'] * 1e3:.1f}ms "
+            f"recovery={stages['recovery'] * 1e3:.1f}ms  "
             f"flushes={result.flushes}  "
             f"overhead={result.transport_overhead_ratio:.2f}x"
         )
         if args.verify:
             lossless = result.policy in ("block", "spin")
+            staged = sum(stages.values())
+            if abs(result.wall_seconds - staged) > _STAGE_TOLERANCE:
+                failures += 1
+                print(
+                    f"{'':>16}  verify: STAGES NOT CLOSED (wall "
+                    f"{result.wall_seconds * 1e3:.3f}ms, stages sum "
+                    f"{staged * 1e3:.3f}ms)"
+                )
             if not result.conservation_ok:
                 failures += 1
                 print(

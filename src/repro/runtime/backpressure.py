@@ -40,7 +40,6 @@ __all__ = [
     "POLICIES",
     "PushOutcome",
     "RingStallError",
-    "RingStalledError",
     "push_with_backpressure",
 ]
 
@@ -76,10 +75,6 @@ class RingStallError(RuntimeError):
         super().__init__(message)
         self.pushed = int(pushed)
         self.stalls = int(stalls)
-
-
-#: backward-compatible name (pre-supervision releases).
-RingStalledError = RingStallError
 
 
 @dataclass

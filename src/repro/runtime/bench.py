@@ -30,17 +30,16 @@ def e2e_entry(
     scheme: str, result: RuntimeResult, streaming: bool = False
 ) -> Dict[str, Any]:
     """One ``<scheme>@e2e`` bench entry from a runtime result."""
-    stages = result.stage_seconds
     return {
         "name": f"{scheme}@e2e",
         "e2e_messages_per_second": result.messages_per_second,
         "p99_sojourn_seconds": result.p99_sojourn(),
         "duration_seconds": result.wall_seconds,
-        "route_seconds": stages.get("route", 0.0),
-        "scatter_seconds": stages.get("scatter", 0.0),
-        "flush_stall_seconds": stages.get("flush_stall", 0.0),
-        "drain_seconds": stages.get("drain", 0.0),
-        "recovery_seconds": stages.get("recovery", 0.0),
+        # One "<stage>_seconds" entry per stage of the wall clock.
+        **{
+            f"{stage}_seconds": seconds
+            for stage, seconds in result.stage_seconds.items()
+        },
         "transport_overhead_ratio": result.transport_overhead_ratio,
         "flushes": result.flushes,
         "num_messages": result.num_messages,

@@ -20,9 +20,15 @@ one wall-clock stamp per flush written into a preallocated stamp lane
 the scatter is stable and each stage drains in append order, every
 worker still sees its sub-stream in arrival order (FIFO end to end) at
 *any* flush size.  The input stream itself may be a materialised array
-or a bounded-memory :class:`~repro.core.chunks.ChunkSource`.  Per-stage
-wall time (route / scatter / flush-stall / drain / recovery) is
-measured and reported in ``RuntimeResult.stage_seconds``.
+or a bounded-memory :class:`~repro.core.chunks.ChunkSource`.
+
+**Stage accounting.**  One stage clock partitions the run's wall time:
+at every moment exactly one of route / scatter / flush-stall / drain /
+recovery is current, and switching books the elapsed time to the stage
+left.  ``RuntimeResult.stage_seconds`` therefore sums to
+``wall_seconds`` by construction.  ``route`` includes reading (or, for
+a ``ChunkSource``, generating) the next chunk; backend spawn happens
+before the clock starts.
 
 **Determinism contract.**  Every routing decision happens in the source,
 on the same chunk boundaries, through the same partitioner state
@@ -61,12 +67,15 @@ happens next is ``RuntimeConfig.recovery``:
   byte-identical to a fault-free run.  Faults (injected or genuine)
   during the replay recurse, bounded by ``restart_limit``.
 
-The conservation law ``sent == processed + dropped + lost`` is asserted
+Deaths found on a stalled push, during a replay, or in the
+end-of-stream drain all go through one recovery switch.  The
+conservation law ``sent == processed + dropped + lost`` is asserted
 on every path: ``lost`` is dead workers' delivered-but-uncheckpointed
 pipeline plus fault-discarded messages, and aborted runs additionally
 report the never-delivered remainder (``undelivered``).
 
-Two interchangeable backends:
+Two interchangeable backends share one skeleton -- progress lanes,
+rings, push, respawn -- and differ only in how a worker runs:
 
 * **process** -- real worker processes over
   ``multiprocessing.shared_memory`` rings; requires working process
@@ -86,10 +95,12 @@ import copy
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -112,6 +123,7 @@ from repro.core.metrics import StreamingLoadSeries
 from repro.queueing.latency import DEFAULT_RELATIVE_ERROR, LatencyStore
 from repro.runtime.backpressure import (
     POLICIES,
+    PushOutcome,
     RingStallError,
     push_with_backpressure,
 )
@@ -121,11 +133,17 @@ from repro.runtime.supervision import (
     DEFAULT_REAP_TIMEOUT,
     RECOVERY_POLICIES,
     FailureEvent,
+    LivenessDetector,
     RunAborted,
     WorkerDeadError,
     reap_process,
 )
-from repro.runtime.worker import WorkerLoop, WorkerSpec, worker_main
+from repro.runtime.worker import (
+    WorkerLoop,
+    WorkerSpec,
+    loop_keywords,
+    worker_main,
+)
 
 if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
@@ -145,6 +163,13 @@ MODES = ("auto", "process", "simulated")
 _ASSESS_POLL = 5e-3
 #: seconds between report-queue polls while waiting on a worker report.
 _FINISH_POLL = 50e-3
+#: seconds a dead worker's report may still take to arrive.
+_REPORT_GRACE = 0.2
+#: seconds to wait for each worker report/join before giving up.
+_JOIN_TIMEOUT = 120.0
+
+#: the stages that partition a run's wall clock, in first-entry order.
+_STAGES = ("route", "scatter", "flush_stall", "drain", "recovery")
 
 
 @dataclass(frozen=True)
@@ -168,8 +193,6 @@ class RuntimeConfig:
     relative_error: float = DEFAULT_RELATIVE_ERROR
     #: largest batch a worker drains per step.
     max_batch: int = 4096
-    #: seconds to wait for each worker report/join before giving up.
-    join_timeout: float = 120.0
     #: per-worker staging-buffer slots; a worker's stage flushes to its
     #: ring when full or at end-of-stream.  Flush-size choice never
     #: changes routing or per-worker order (the scatter is stable and
@@ -272,9 +295,10 @@ class RuntimeResult:
     #: merged end-to-end sojourn sketch (enqueue -> processed).
     latency: LatencyStore
     wall_seconds: float
-    #: source-side wall breakdown: "route" (partitioner decisions +
-    #: balance metrics), "scatter" (counting-sort grouping + staging
-    #: appends), "flush_stall" (ring pushes, including every stall the
+    #: source-side wall breakdown; the stages partition wall_seconds:
+    #: "route" (reading the next chunk, partitioner decisions, balance
+    #: metrics), "scatter" (counting-sort grouping + staging appends),
+    #: "flush_stall" (ring pushes, including every stall the
     #: backpressure policy absorbed), "drain" (end-of-stream wait for
     #: the workers to finish and report), "recovery" (assessment waits,
     #: respawns and span replays).
@@ -413,15 +437,123 @@ def _probe() -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _SimulatedBackend:
+class _Backend(ABC):
+    """What both backends share: lanes, rings, push, respawn.
+
+    The progress lanes (W count slots, then W beat slots; one writer
+    each) and the W rings come from one allocator, :meth:`_allocate`.
+    A subclass says where that memory lives and how a worker runs --
+    start, alive, condemn, finish, close -- and nothing else, so the
+    supervision and recovery logic upstream is mode-blind.
+    """
+
+    mode = ""
+    #: whether consumers progress only when the source drains them
+    #: (then there is no point polling beats that cannot advance).
+    drives_consumers = False
+
+    def __init__(
+        self,
+        num_workers: int,
+        config: RuntimeConfig,
+        worker_faults: Dict[int, Tuple[FaultSpec, ...]],
+    ) -> None:
+        self.config = config
+        self.num_workers = num_workers
+        self.rings: List[SpscRing] = []
+        self.counts: Any = None
+        self.beats: Any = None
+        try:
+            lanes = np.ndarray(
+                (2 * num_workers,),
+                dtype=np.int64,
+                buffer=self._allocate(2 * num_workers * 8),
+            )
+            self.counts = lanes[:num_workers]
+            self.beats = lanes[num_workers:]
+            for _ in range(num_workers):
+                backing = self._allocate(ring_nbytes(config.capacity))
+                self.rings.append(
+                    SpscRing.from_buffer(backing, config.capacity, initialize=True)
+                )
+            for w in range(num_workers):
+                self._start(w, worker_faults[w])
+        except BaseException:
+            self.close()
+            raise
+
+    def _allocate(self, nbytes: int) -> Any:
+        """``nbytes`` of zeroed backing (private memory here)."""
+        return memoryview(np.zeros(nbytes, dtype=np.uint8))
+
+    @abstractmethod
+    def _start(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
+        """Run a fresh worker ``worker`` over its ring and lanes."""
+
+    @abstractmethod
+    def alive(self, worker: int) -> bool:
+        """Whether ``worker`` has not (observably) died."""
+
+    @abstractmethod
+    def condemn(self, worker: int) -> None:
+        """Stop ``worker`` for good (bounded; safe on a dead worker)."""
+
+    @abstractmethod
+    def finish(self, worker: int) -> Dict[str, Any]:
+        """``worker``'s final report once its done ring is drained.
+
+        Raises :class:`WorkerDeadError` if it dies or is condemned first.
+        """
+
+    def _drain_hook(self, worker: int) -> Optional[Callable[[], int]]:
+        """What a stalled push runs instead of waiting (None = wait)."""
+        return None
+
+    def stall_remaining(self, worker: int) -> float:
+        """Seconds left in ``worker``'s injected stall, if visible.
+
+        The source cannot see a real worker's fault machine; silence on
+        the beat lane is then its only stall signal.
+        """
+        return 0.0
+
+    def push(
+        self, worker: int, indices: np.ndarray, stamps: np.ndarray
+    ) -> PushOutcome:
+        return push_with_backpressure(
+            self.rings[worker],
+            indices,
+            stamps,
+            self.config.policy,
+            drain=self._drain_hook(worker),
+            deadline=self.config.push_deadline,
+            alive=lambda: self.alive(worker),
+        )
+
+    def checkpointed(self, worker: int) -> int:
+        return int(self.counts[worker])
+
+    def respawn(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
+        """Replace dead ``worker`` over its reset ring, count and beat."""
+        self.condemn(worker)
+        self.rings[worker].reset()
+        self.counts[worker] = 0
+        self.beats[worker] = 0
+        self._start(worker, faults)
+
+    def close(self) -> None:
+        # Drop the numpy views before any backing mapping closes.
+        self.rings.clear()
+        self.counts = None
+        self.beats = None
+
+
+class _SimulatedBackend(_Backend):
     """Rings + worker loops in one process; drains replace waiting.
 
-    Exposes the same supervision surface as the process backend --
-    heartbeat lanes, liveness, condemnation, respawn -- so recovery
-    logic upstream is mode-blind.  ``drives_consumers`` tells the
-    supervisor that consumers only progress when *it* drains them
-    (there is no point polling heartbeats that cannot advance on their
-    own).
+    A full ring's push runs the worker's drain step instead of waiting,
+    so the block policy cannot deadlock in one thread.  Condemning a
+    loop kills it, exactly as the process backend reaps a child.
     """
 
     mode = "simulated"
@@ -433,57 +565,23 @@ class _SimulatedBackend:
         config: RuntimeConfig,
         worker_faults: Dict[int, Tuple[FaultSpec, ...]],
     ) -> None:
-        self.config = config
-        self.num_workers = num_workers
-        lanes = np.zeros(2 * num_workers, dtype=np.int64)
-        self.counts = lanes[:num_workers]
-        self.beats = lanes[num_workers:]
-        self.rings = [
-            SpscRing.create_local(config.capacity) for _ in range(num_workers)
-        ]
-        self.loops = [
-            self._build_loop(w, worker_faults.get(w, ()))
-            for w in range(num_workers)
-        ]
+        self.loops: Dict[int, WorkerLoop] = {}
+        super().__init__(num_workers, config, worker_faults)
 
-    def _build_loop(
-        self, worker: int, faults: Tuple[FaultSpec, ...]
-    ) -> WorkerLoop:
-        config = self.config
-        return WorkerLoop(
+    def _start(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
+        self.loops[worker] = WorkerLoop(
             worker,
             self.rings[worker],
             self.counts,
-            service_cost=config.service_cost,
-            checkpoint_interval=config.checkpoint_interval,
-            relative_error=config.relative_error,
-            max_batch=config.max_batch,
-            capture_indices=config.capture_indices,
             beats=self.beats,
-            faults=tuple(faults),
+            **loop_keywords(self.config, faults),
         )
 
-    def push(
-        self,
-        worker: int,
-        indices: np.ndarray,
-        stamps: np.ndarray,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        return push_with_backpressure(
-            self.rings[worker],
-            indices,
-            stamps,
-            self.config.policy,
-            drain=self.loops[worker].step,
-            deadline=deadline,
-        )
+    def _drain_hook(self, worker: int) -> Optional[Callable[[], int]]:
+        return self.loops[worker].step
 
-    def worker_alive(self, worker: int) -> bool:
+    def alive(self, worker: int) -> bool:
         return not self.loops[worker].dead
-
-    def checkpointed(self, worker: int) -> int:
-        return int(self.counts[worker])
 
     def stall_remaining(self, worker: int) -> float:
         # Supervision telemetry read (REPRO002 noqa): the supervisor
@@ -495,20 +593,10 @@ class _SimulatedBackend:
     def condemn(self, worker: int) -> None:
         self.loops[worker].kill()
 
-    def respawn(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
-        self.rings[worker].reset()
-        self.counts[worker] = 0
-        self.beats[worker] = 0
-        self.loops[worker] = self._build_loop(worker, faults)
-
-    def finish_one(
-        self, worker: int, silence_deadline: float, overall_deadline: float
-    ) -> Dict[str, Any]:
+    def finish(self, worker: int) -> Dict[str, Any]:
         loop = self.loops[worker]
-        if loop.dead:
-            raise WorkerDeadError(worker, "exit")
         try:
-            loop.drain_until_done(deadline=silence_deadline)
+            loop.drain_until_done(deadline=self.config.liveness_deadline)
         except RingStallError:
             # A drain that stopped progressing is a wedged loop (e.g. a
             # stall-forever fault): condemn it like the process backend
@@ -519,18 +607,15 @@ class _SimulatedBackend:
             raise WorkerDeadError(worker, "exit")
         return loop.report()
 
-    def finalize_clean(self, workers: Sequence[int]) -> None:
-        pass
 
-    def close(self) -> None:
-        pass
+class _ProcessBackend(_Backend):
+    """Real worker processes over shared-memory rings.
 
-
-class _ProcessBackend:
-    """Real worker processes over shared-memory rings."""
+    Shared-memory block 0 backs the lanes, block ``1 + w`` worker
+    ``w``'s ring; a respawned worker attaches to the same blocks.
+    """
 
     mode = "process"
-    drives_consumers = False
 
     def __init__(
         self,
@@ -538,199 +623,101 @@ class _ProcessBackend:
         config: RuntimeConfig,
         worker_faults: Dict[int, Tuple[FaultSpec, ...]],
     ) -> None:
+        self._shms: List[Any] = []
+        #: the current process of each worker, and every one ever spawned.
+        self.processes: Dict[int, multiprocessing.Process] = {}
+        self._spawned: List[multiprocessing.Process] = []
+        #: reports that arrived while the source waited on another worker.
+        self._reports: Dict[int, Dict[str, Any]] = {}
+        self.results: Any = multiprocessing.Queue()
+        super().__init__(num_workers, config, worker_faults)
+
+    def _allocate(self, nbytes: int) -> Any:
         from multiprocessing import shared_memory
 
-        self.config = config
-        self.num_workers = num_workers
-        self._shms: List[Any] = []
-        self.rings: List[SpscRing] = []
-        self.processes: List[multiprocessing.Process] = []
-        self._retired: List[multiprocessing.Process] = []
-        self._specs: List[WorkerSpec] = []
-        self._collected: Dict[int, Dict[str, Any]] = {}
-        self.results: Any = None
-        self.counts: Any = None
-        self.beats: Any = None
-        self._lanes: Any = None
-        try:
-            self._progress_shm = shared_memory.SharedMemory(
-                create=True, size=2 * num_workers * 8
-            )
-            self._shms.append(self._progress_shm)
-            lanes = np.ndarray(
-                (2 * num_workers,),
-                dtype=np.int64,
-                buffer=self._progress_shm.buf,
-            )
-            lanes[:] = 0
-            self._lanes = lanes
-            self.counts = lanes[:num_workers]
-            self.beats = lanes[num_workers:]
-            ring_shms = []
-            for _ in range(num_workers):
-                shm = shared_memory.SharedMemory(
-                    create=True, size=ring_nbytes(config.capacity)
-                )
-                self._shms.append(shm)
-                ring_shms.append(shm)
-                self.rings.append(
-                    SpscRing.from_buffer(shm.buf, config.capacity, initialize=True)
-                )
-            self.results = multiprocessing.Queue()
-            for w in range(num_workers):
-                spec = WorkerSpec(
-                    worker_id=w,
-                    num_workers=num_workers,
-                    ring_name=ring_shms[w].name,
-                    progress_name=self._progress_shm.name,
-                    capacity=config.capacity,
-                    service_cost=config.service_cost,
-                    checkpoint_interval=config.checkpoint_interval,
-                    relative_error=config.relative_error,
-                    max_batch=config.max_batch,
-                    capture_indices=config.capture_indices,
-                    faults=tuple(worker_faults.get(w, ())),
-                    drain_deadline=config.drain_deadline,
-                )
-                self._specs.append(spec)
-                self.processes.append(self._spawn(spec))
-        except BaseException:
-            self.close()
-            raise
+        shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._shms.append(shm)
+        return shm.buf
 
-    def _spawn(self, spec: WorkerSpec) -> multiprocessing.Process:
+    def _start(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
+        spec = WorkerSpec(
+            worker_id=worker,
+            num_workers=self.num_workers,
+            ring_name=self._shms[1 + worker].name,
+            progress_name=self._shms[0].name,
+            config=self.config,
+            faults=tuple(faults),
+        )
         proc = multiprocessing.Process(
             target=worker_main, args=(spec, self.results), daemon=True
         )
         proc.start()
-        return proc
+        self._spawned.append(proc)
+        self.processes[worker] = proc
 
-    def push(
-        self,
-        worker: int,
-        indices: np.ndarray,
-        stamps: np.ndarray,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        return push_with_backpressure(
-            self.rings[worker],
-            indices,
-            stamps,
-            self.config.policy,
-            deadline=deadline,
-            alive=self.processes[worker].is_alive,
-        )
-
-    def worker_alive(self, worker: int) -> bool:
+    def alive(self, worker: int) -> bool:
         return self.processes[worker].is_alive()
-
-    def checkpointed(self, worker: int) -> int:
-        return int(self.counts[worker])
-
-    def stall_remaining(self, worker: int) -> float:
-        # The source cannot see a real worker's fault machine; silence
-        # on the beat lane is its only stall signal.
-        return 0.0
 
     def condemn(self, worker: int) -> None:
         reap_process(self.processes[worker], DEFAULT_REAP_TIMEOUT)
 
-    def respawn(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
-        old = self.processes[worker]
-        reap_process(old, DEFAULT_REAP_TIMEOUT)
-        self._retired.append(old)
-        self.rings[worker].reset()
-        self.counts[worker] = 0
-        self.beats[worker] = 0
-        spec = replace(self._specs[worker], faults=tuple(faults))
-        self._specs[worker] = spec
-        self.processes[worker] = self._spawn(spec)
+    def finish(self, worker: int) -> Dict[str, Any]:
+        """Wait for ``worker``'s report while judging its liveness.
 
-    def finish_one(
-        self, worker: int, silence_deadline: float, overall_deadline: float
-    ) -> Dict[str, Any]:
-        import queue as queue_module
-
-        if worker in self._collected:
-            return self._collected.pop(worker)
-        # Liveness clocks below are supervision telemetry, never routing
-        # inputs (REPRO002 noqa on each read).
+        A :class:`LivenessDetector` over the beat lanes condemns a
+        worker that stays silent past ``liveness_deadline``; the absolute
+        cap :data:`_JOIN_TIMEOUT` condemns one that beats but never
+        finishes.  A worker that reported must then exit cleanly.
+        Liveness clocks are supervision telemetry (REPRO002 noqa).
+        """
+        proc = self.processes[worker]
+        detector = LivenessDetector(self.beats, self.config.liveness_deadline)
         started = time.perf_counter()  # repro: noqa[REPRO002]
-        silent_since = started
-        last_beat = int(self.beats[worker])
         while True:
-            try:
-                report = self.results.get(timeout=_FINISH_POLL)
-            except queue_module.Empty:
-                pass
-            else:
-                wid = int(report["worker_id"])
-                if wid == worker:
-                    return report
-                self._collected[wid] = report
-                continue
+            report = self._report(worker, _FINISH_POLL)
+            if report is None and not proc.is_alive():
+                # A dead worker's report may still sit in the queue.
+                report = self._report(worker, _REPORT_GRACE)
+                if report is None:
+                    raise WorkerDeadError(worker, "exit", exitcode=proc.exitcode)
+            if report is not None:
+                proc.join(timeout=_JOIN_TIMEOUT)
+                if proc.exitcode != 0:
+                    reap_process(proc, DEFAULT_REAP_TIMEOUT)
+                    raise RuntimeError(
+                        f"worker pid {proc.pid} did not exit cleanly after "
+                        f"reporting (exit code {proc.exitcode})"
+                    )
+                return report
             now = time.perf_counter()  # repro: noqa[REPRO002]
-            if not self.processes[worker].is_alive():
-                report = self._drain_report_race(worker)
-                if report is not None:
-                    return report
-                raise WorkerDeadError(
-                    worker,
-                    "exit",
-                    exitcode=self.processes[worker].exitcode,
-                )
-            beat = int(self.beats[worker])
-            if beat != last_beat:
-                last_beat = beat
-                silent_since = now
-            if now - silent_since >= silence_deadline:
+            if detector.expired(worker, now):
                 self.condemn(worker)
                 raise WorkerDeadError(worker, "wedged")
-            if now - started >= overall_deadline:
+            if now - started >= _JOIN_TIMEOUT:
                 self.condemn(worker)
                 raise WorkerDeadError(worker, "finish-timeout")
 
-    def _drain_report_race(self, worker: int) -> Optional[Dict[str, Any]]:
-        """A dead worker's report may still sit in the queue's buffer."""
+    def _report(self, worker: int, timeout: float) -> Optional[Dict[str, Any]]:
+        """``worker``'s report, stashing others' that arrive first.
+
+        None once the queue stays empty for ``timeout`` seconds.
+        """
         import queue as queue_module
 
-        try:
-            while True:
-                report = self.results.get(timeout=0.2)
-                wid = int(report["worker_id"])
-                if wid == worker:
-                    return report
-                self._collected[wid] = report
-        except queue_module.Empty:
-            return None
-
-    def finalize_clean(self, workers: Sequence[int]) -> None:
-        """Join workers that reported cleanly; a bad exit is a bug."""
-        for w in workers:
-            proc = self.processes[w]
-            proc.join(timeout=self.config.join_timeout)
-            if proc.is_alive():  # pragma: no cover - reported but hung
-                reap_process(proc, DEFAULT_REAP_TIMEOUT)
-                raise RuntimeError(
-                    f"worker pid {proc.pid} failed to exit after reporting"
-                )
-            if proc.exitcode != 0:
-                raise RuntimeError(
-                    f"worker pid {proc.pid} exited with code {proc.exitcode}"
-                )
+        while worker not in self._reports:
+            try:
+                report = self.results.get(timeout=timeout)
+            except queue_module.Empty:
+                return None
+            self._reports[int(report["worker_id"])] = report
+        return self._reports.pop(worker)
 
     def close(self) -> None:
-        for proc in list(self.processes) + self._retired:
+        for proc in self._spawned:
             reap_process(proc, DEFAULT_REAP_TIMEOUT)
-        if self.results is not None:
-            self.results.close()
-            self.results.cancel_join_thread()
-            self.results = None
-        # Drop the numpy views before closing the mappings they borrow.
-        self.rings.clear()
-        self.counts = None
-        self.beats = None
-        self._lanes = None
+        self.results.close()
+        self.results.cancel_join_thread()
+        super().close()
         for shm in self._shms:
             try:
                 shm.close()
@@ -745,6 +732,39 @@ class _ProcessBackend:
 # ---------------------------------------------------------------------------
 
 
+class _StageClock:
+    """The source's wall clock, partitioned into named stages.
+
+    Exactly one stage is current at any moment, and :meth:`enter` books
+    the time since the last switch to the stage it leaves -- so the
+    stage seconds sum to the clock's total by construction: no second
+    lands in two stages, or in none.  Reads are runtime telemetry,
+    never routing inputs (REPRO002 noqa).
+    """
+
+    __slots__ = ("seconds", "stage", "mark")
+
+    def __init__(self) -> None:
+        self.seconds = dict.fromkeys(_STAGES, 0.0)
+        self.stage = _STAGES[0]
+        #: perf_counter reading at the last switch.
+        self.mark = time.perf_counter()  # repro: noqa[REPRO002]
+
+    def enter(self, stage: str) -> str:
+        """Switch to ``stage``; returns the stage left (to restore)."""
+        now = time.perf_counter()  # repro: noqa[REPRO002]
+        left = self.stage
+        self.seconds[left] += now - self.mark
+        self.stage = stage
+        self.mark = now
+        return left
+
+    def stop(self) -> float:
+        """Book the current stage; returns the total (the run's wall)."""
+        self.enter(self.stage)
+        return sum(self.seconds.values())
+
+
 class _Supervisor:
     """Delivery accounting + failure assessment + recovery execution.
 
@@ -753,18 +773,20 @@ class _Supervisor:
     restart replays deliberately do *not* increment it, which is what
     makes the replay span ``delivered[w]`` correct even across repeated
     failures), ``dropped`` (source-side sheds), the dead set, and the
-    failure log.
+    failure log.  Time spent assessing and recovering is booked to the
+    ``recovery`` stage of the run's clock.
     """
 
     def __init__(
         self,
-        backend: Any,
+        backend: _Backend,
         partitioner: "Partitioner",
         config: RuntimeConfig,
         keys: StreamLike,
         times: Optional[np.ndarray],
         series: StreamingLoadSeries,
         worker_faults: Dict[int, Tuple[FaultSpec, ...]],
+        clock: _StageClock,
     ) -> None:
         self.backend = backend
         self.partitioner = partitioner
@@ -774,6 +796,7 @@ class _Supervisor:
         self.series = series
         self.num_workers = partitioner.num_workers
         self.worker_faults = worker_faults
+        self.clock = clock
         self.delivered = np.zeros(self.num_workers, dtype=np.int64)
         self.dropped = np.zeros(self.num_workers, dtype=np.int64)
         self.stalls = 0
@@ -783,7 +806,6 @@ class _Supervisor:
         self.failures: List[FailureEvent] = []
         self.dead: Set[int] = set()
         self.aborted: Optional[RunAborted] = None
-        self.recovery_seconds = 0.0
         #: per-worker silence episodes: wall moment the current failure
         #: assessment started (cleared on any delivery progress).
         self._episode: Dict[int, float] = {}
@@ -809,49 +831,73 @@ class _Supervisor:
         target = int(worker)
         while offset < total:
             target = self.partitioner.remap_worker(target)
-            try:
-                outcome = self.backend.push(
-                    target,
-                    indices[offset:],
-                    stamps[offset:total],
-                    deadline=self.config.push_deadline,
-                )
-            except RingStallError as exc:
-                self.stall_timeouts += 1
-                self.stalls += exc.stalls
-                self.delivered[target] += exc.pushed
-                offset += exc.pushed
-                if exc.pushed:
-                    self._clear_episode(target)
-                self._recover(target)
-                continue
-            self.stalls += outcome.stalls
-            self.delivered[target] += outcome.pushed
-            self.dropped[target] += outcome.dropped
-            offset += outcome.pushed + outcome.dropped
-            self._clear_episode(target)
-
-    # -- failure assessment -------------------------------------------------
-
-    def _recover(self, worker: int) -> None:
-        """Assess a stalled push target and apply the recovery policy."""
-        before = time.perf_counter()  # repro: noqa[REPRO002]
-        try:
-            verdict = self._assess(worker)
-            if verdict == "retry":
-                return
-            self._record(worker, verdict, self.config.recovery)
-            if self.config.recovery == "fail":
-                self.dead.add(worker)
-                raise RunAborted(worker, verdict)
-            if self.config.recovery == "reroute":
-                self._mask(worker)
-                return
-            self._restart(worker, verdict)
-        finally:
-            self.recovery_seconds += (
-                time.perf_counter() - before  # repro: noqa[REPRO002]
+            pushed, dropped, stalled = self._push(
+                target, indices[offset:], stamps[offset:]
             )
+            self.delivered[target] += pushed
+            self.dropped[target] += dropped
+            offset += pushed + dropped
+            if pushed or not stalled:
+                self._clear_episode(target)
+            if stalled:
+                self._fail_over(target)
+
+    def _push(
+        self, worker: int, indices: np.ndarray, stamps: np.ndarray
+    ) -> Tuple[int, int, bool]:
+        """One push, with its stalls booked: ``(pushed, dropped, stalled)``."""
+        try:
+            outcome = self.backend.push(worker, indices, stamps)
+        except RingStallError as exc:
+            self.stall_timeouts += 1
+            self.stalls += exc.stalls
+            return exc.pushed, 0, True
+        self.stalls += outcome.stalls
+        return outcome.pushed, outcome.dropped, False
+
+    # -- the recovery switch ------------------------------------------------
+
+    def _fail_over(
+        self, worker: int, reason: Optional[str] = None, final: bool = False
+    ) -> bool:
+        """Record a death of ``worker`` and apply the recovery policy.
+
+        Every place a death is found lands here: a stalled push or
+        replay (``reason=None``: assess first; returns False if the
+        worker is alive after all), and the end-of-stream drain
+        (``final``).  Raises :class:`RunAborted` when the run cannot go
+        on.  After an abort, later deaths are recorded as ``fail``; at
+        end of stream a restarted worker's ring is marked done again.
+        """
+        resume = self.clock.enter("recovery")
+        try:
+            if reason is None:
+                reason = self._assess(worker)
+                if reason == "retry":
+                    return False
+            action = self.config.recovery if self.aborted is None else "fail"
+            self._record(worker, reason, action)
+            if action == "restart":
+                self._restart(worker, reason)
+                if final:
+                    self.backend.rings[worker].mark_done()
+                return True
+            self.dead.add(worker)
+            if action == "fail":
+                raise RunAborted(worker, reason)
+            try:
+                self.partitioner.mask_worker(worker)
+            except RuntimeError as exc:
+                # Nobody left to reroute to.  At end of stream nothing
+                # is left to deliver, so the mask is moot and the run
+                # ends degraded; mid-stream it cannot continue.
+                if not final:
+                    raise RunAborted(
+                        worker, f"reroute impossible ({exc})"
+                    ) from exc
+            return True
+        finally:
+            self.clock.enter(resume)
 
     def _assess(self, worker: int) -> str:
         """Why a push to ``worker`` cannot progress.
@@ -870,7 +916,7 @@ class _Supervisor:
             self._episode_beat[worker] = int(self.backend.beats[worker])
         deadline = self.config.liveness_deadline
         while True:
-            if not self.backend.worker_alive(worker):
+            if not self.backend.alive(worker):
                 self._clear_episode(worker)
                 return "exit"
             now = time.perf_counter()  # repro: noqa[REPRO002]
@@ -913,58 +959,37 @@ class _Supervisor:
                 action=action,
                 at_routed=int(self.series.loads.sum()),
                 delivered=int(self.delivered[worker]),
-                checkpointed=int(self.backend.checkpointed(worker)),
+                checkpointed=self.backend.checkpointed(worker),
             )
         )
-
-    # -- recovery actions ---------------------------------------------------
-
-    def _mask(self, worker: int) -> None:
-        self.dead.add(worker)
-        try:
-            self.partitioner.mask_worker(worker)
-        except RuntimeError as exc:
-            # Nobody left to reroute to: the run cannot continue.
-            raise RunAborted(worker, f"reroute impossible ({exc})") from exc
 
     def _restart(self, worker: int, reason: str) -> None:
         """Respawn ``worker`` and replay its lost span deterministically.
 
-        Loops (not recurses) on failures during the replay itself: the
-        span is re-derived from ``delivered`` each attempt, which never
-        counts replayed messages, so every attempt rebuilds the same
-        prefix.  Bounded by ``restart_limit`` per worker.
+        The span is ``delivered[worker]``, which never counts replayed
+        messages, so every attempt rebuilds the same prefix.  A death
+        during the replay goes back through :meth:`_fail_over`, which
+        restarts again -- bounded by ``restart_limit`` per worker.
         """
-        while True:
-            self.restarts_per_worker[worker] += 1
-            if self.restarts_per_worker[worker] > self.config.restart_limit:
-                self.dead.add(worker)
-                raise RunAborted(
-                    worker,
-                    f"exceeded restart limit ({self.config.restart_limit})",
-                )
-            self.restarts += 1
-            self.worker_faults[worker] = consume_cause(
-                self.worker_faults[worker], reason
+        self.restarts_per_worker[worker] += 1
+        if self.restarts_per_worker[worker] > self.config.restart_limit:
+            self.dead.add(worker)
+            raise RunAborted(
+                worker,
+                f"exceeded restart limit ({self.config.restart_limit})",
             )
-            self.backend.respawn(worker, self.worker_faults[worker])
-            self.dead.discard(worker)
-            self._clear_episode(worker)
-            span = int(self.delivered[worker])
-            done = 0
-            replay_failed = False
-            while done < span:
-                sent, stalled = self._replay_slice(worker, span, done)
-                done += sent
-                if stalled:
-                    verdict = self._assess(worker)
-                    if verdict == "retry":
-                        continue
-                    self._record(worker, verdict, "restart")
-                    reason = verdict
-                    replay_failed = True
-                    break
-            if not replay_failed:
+        self.restarts += 1
+        self.worker_faults[worker] = consume_cause(
+            self.worker_faults[worker], reason
+        )
+        self.backend.respawn(worker, self.worker_faults[worker])
+        self._clear_episode(worker)
+        span = int(self.delivered[worker])
+        done = 0
+        while done < span:
+            sent, stalled = self._replay_slice(worker, span, done)
+            done += sent
+            if stalled and self._fail_over(worker):
                 return
 
     def _replay_slice(
@@ -1001,19 +1026,10 @@ class _Supervisor:
                         ids.size,
                         time.perf_counter(),  # repro: noqa[REPRO002]
                     )
-                    try:
-                        outcome = self.backend.push(
-                            worker,
-                            ids,
-                            stamps,
-                            deadline=self.config.push_deadline,
-                        )
-                    except RingStallError as exc:
-                        self.stall_timeouts += 1
-                        self.stalls += exc.stalls
-                        return sent + exc.pushed, True
-                    self.stalls += outcome.stalls
-                    sent += outcome.pushed
+                    pushed, _dropped, stalled = self._push(worker, ids, stamps)
+                    sent += pushed
+                    if stalled:
+                        return sent, True
             if seen >= span:
                 break
         return sent, False
@@ -1023,59 +1039,23 @@ class _Supervisor:
     def collect(self) -> List[Dict[str, Any]]:
         """Drain every surviving worker to completion and gather reports.
 
-        Failures discovered here (a fault firing during the final
-        drain, a wedged drain) run through the same recovery policies;
-        reroute at end-of-stream degenerates to masking alone, since a
-        dead ring's contents are unrecoverable without replay.
+        Deaths found here (a fault firing during the final drain, a
+        wedged drain) go through the same recovery switch as mid-stream
+        ones, as ``final`` deaths.
         """
         for w in range(self.num_workers):
             if w not in self.dead:
                 self.backend.rings[w].mark_done()
         reports: Dict[int, Dict[str, Any]] = {}
         for w in range(self.num_workers):
-            while w not in self.dead:
+            while w not in self.dead and w not in reports:
                 try:
-                    reports[w] = self.backend.finish_one(
-                        w,
-                        silence_deadline=self.config.liveness_deadline,
-                        overall_deadline=self.config.join_timeout,
-                    )
-                    break
+                    reports[w] = self.backend.finish(w)
                 except WorkerDeadError as exc:
-                    action = (
-                        self.config.recovery if self.aborted is None else "fail"
-                    )
-                    self._record(w, exc.reason, action)
-                    if action == "restart":
-                        before = time.perf_counter()  # repro: noqa[REPRO002]
-                        try:
-                            self._restart(w, exc.reason)
-                        except RunAborted as abort:
-                            self.aborted = abort
-                            self.dead.add(w)
-                            break
-                        finally:
-                            self.recovery_seconds += (
-                                time.perf_counter()  # repro: noqa[REPRO002]
-                                - before
-                            )
-                        # The respawn reset the ring's done flag; the
-                        # stream is over, so re-signal end-of-stream.
-                        self.backend.rings[w].mark_done()
-                        continue
-                    self.dead.add(w)
-                    if action == "reroute":
-                        try:
-                            self.partitioner.mask_worker(w)
-                        except RuntimeError:
-                            # Last survivor died at end-of-stream: there
-                            # is nothing left to deliver, so masking is
-                            # moot; the loss accounting still applies.
-                            pass
-                    elif self.aborted is None:
-                        self.aborted = RunAborted(w, exc.reason)
-                    break
-        self.backend.finalize_clean(sorted(reports))
+                    try:
+                        self._fail_over(w, exc.reason, final=True)
+                    except RunAborted as abort:
+                        self.aborted = self.aborted or abort
         return [reports[w] for w in sorted(reports)]
 
 
@@ -1135,16 +1115,13 @@ def run_runtime(
             )
     worker_faults = {w: plan.for_worker(w) for w in range(num_workers)}
     mode = _resolve_mode(config.mode)
-    backend: Any = (
+    backend: _Backend = (
         _ProcessBackend(num_workers, config, worker_faults)
         if mode == "process"
         else _SimulatedBackend(num_workers, config, worker_faults)
     )
 
     series = StreamingLoadSeries(m, num_workers, num_checkpoints)
-    sup = _Supervisor(
-        backend, partitioner, config, keys, times, series, worker_faults
-    )
     flushes = 0
     flush = int(config.flush_size)
     # Coalescing staging: per-worker id rows that fill across chunks and
@@ -1155,50 +1132,38 @@ def run_runtime(
     stage_ids = np.empty((num_workers, flush), dtype=np.int64)
     stage_fill = [0] * num_workers
     stamp_lane = np.empty(flush, dtype=np.float64)
-    route_seconds = 0.0
-    scatter_seconds = 0.0
-    flush_seconds = 0.0
+    # The run's wall clock starts here (backend spawn stays outside it),
+    # in the route stage: reading the first chunk is routing work.
+    clock = _StageClock()
+    sup = _Supervisor(
+        backend, partitioner, config, keys, times, series, worker_faults, clock
+    )
 
     def flush_worker(w: int) -> None:
         """Deliver worker ``w``'s staged ids (one shared stamp per flush)."""
-        nonlocal flushes, flush_seconds
+        nonlocal flushes
         n = stage_fill[w]
         if n == 0:
             return
-        # Wall time + enqueue stamps are runtime telemetry, never
-        # routing inputs (REPRO002 noqa on each read in this loop): the
-        # e2e throughput, sojourn, and stage-breakdown numbers are the
-        # point of this engine, and no load count or partitioner
-        # decision depends on them.
-        before = time.perf_counter()  # repro: noqa[REPRO002]
-        recovery_before = sup.recovery_seconds
-        stamp_lane[:n] = before
+        resume = clock.enter("flush_stall")
+        # The switch's clock reading doubles as the enqueue stamp.
+        stamp_lane[:n] = clock.mark
         sup.deliver(w, stage_ids[w, :n], stamp_lane[:n])
-        after = time.perf_counter()  # repro: noqa[REPRO002]
-        # Recovery time (assessments, respawns, replays) is accounted in
-        # its own stage, not as flush stall.
-        flush_seconds += (after - before) - (
-            sup.recovery_seconds - recovery_before
-        )
+        clock.enter(resume)
         flushes += 1
         stage_fill[w] = 0
 
     try:
-        start_wall = time.perf_counter()  # repro: noqa[REPRO002]
         try:
             for start, _stop, key_chunk, time_chunk in iter_keyed_chunks(
                 keys, config.chunk_size, times
             ):
-                tick = time.perf_counter()  # repro: noqa[REPRO002]
                 assignments = partitioner.route_chunk(key_chunk, time_chunk)
                 # Reroute recovery: decisions for masked workers forward
                 # to their deputies (the identity when nothing is masked).
                 assignments = partitioner.remap_masked(assignments)
                 series.update(assignments)
-                routed_tick = time.perf_counter()  # repro: noqa[REPRO002]
-                route_seconds += routed_tick - tick
-                flushed_before = flush_seconds
-                recovered_before = sup.recovery_seconds
+                clock.enter("scatter")
                 # Scatter: group the chunk's message ids by worker with the
                 # stable counting sort, then append each worker's segment to
                 # its staging row, flushing whenever a row fills.  Stability
@@ -1220,12 +1185,9 @@ def run_runtime(
                         lo += take
                         if stage_fill[w] == flush:
                             flush_worker(w)
-                scatter_tick = time.perf_counter()  # repro: noqa[REPRO002]
-                # flush_worker books flush stall and recovery separately;
-                # both are excluded here so no second lands in two stages.
-                scatter_seconds += (scatter_tick - routed_tick) - (
-                    flush_seconds - flushed_before
-                ) - (sup.recovery_seconds - recovered_before)
+                # Reading (or generating) the next chunk is routing work.
+                clock.enter("route")
+            clock.enter("flush_stall")
             for w in range(num_workers):
                 flush_worker(w)
         except RunAborted as exc:
@@ -1234,44 +1196,26 @@ def run_runtime(
             # label the result.  Undelivered remainders are accounted
             # below -- the abort is loud but never lossy in bookkeeping.
             sup.aborted = exc
-        drain_tick = time.perf_counter()  # repro: noqa[REPRO002]
-        recovery_before_drain = sup.recovery_seconds
+        clock.enter("drain")
         reports = sup.collect()
-        end_wall = time.perf_counter()  # repro: noqa[REPRO002]
-        drain_seconds = (end_wall - drain_tick) - (
-            sup.recovery_seconds - recovery_before_drain
-        )
-        wall = end_wall - start_wall
+        wall = clock.stop()
         # Snapshot the checkpoint lane before close() drops the shared-
-        # memory views: dead workers' loads are read from it below.
-        checkpoints = np.asarray(backend.counts, dtype=np.int64).copy()
+        # memory views: it holds each dead worker's survivable count.
+        worker_loads = np.asarray(backend.counts, dtype=np.int64).copy()
     finally:
         backend.close()
 
     positions, imbalances = series.finish()
     routed = series.loads.copy()
-    worker_loads = np.zeros(num_workers, dtype=np.int64)
-    fault_dropped = np.zeros(num_workers, dtype=np.int64)
+    lost = np.zeros(num_workers, dtype=np.int64)
     for report in reports:
         worker_loads[report["worker_id"]] = report["count"]
-        fault_dropped[report["worker_id"]] = report.get("fault_dropped", 0)
-    for w in sup.dead:
-        # A dead worker's survivable count is its last checkpoint; the
-        # sup.dead snapshot is taken after collect(), so restarted-and-
-        # recovered workers are not in it.
-        worker_loads[w] = checkpoints[w]
-    lost = np.zeros(num_workers, dtype=np.int64)
-    for w in range(num_workers):
-        if w in sup.dead:
-            lost[w] = sup.delivered[w] - worker_loads[w]
-        else:
-            lost[w] = fault_dropped[w]
-    undelivered = int(routed.sum() - sup.delivered.sum() - sup.dropped.sum())
-    latency = LatencyStore.merge_all(
-        LatencyStore.from_dict(report["latency"]) for report in reports
-    )
-    clean = not sup.failures and not plan.specs
-    if config.policy != "drop" and clean:
+        lost[report["worker_id"]] = report["fault_dropped"]
+    # Workers dead after collect() (restarted-and-recovered ones are not)
+    # lose their delivered-but-uncheckpointed pipeline.
+    dead = sorted(sup.dead)
+    lost[dead] = sup.delivered[dead] - worker_loads[dead]
+    if config.policy != "drop" and not sup.failures and not plan.specs:
         # The lossless policies promise exactly this; a mismatch means a
         # ring protocol bug, which must never be reported as a result.
         if not np.array_equal(worker_loads + sup.dropped, routed):
@@ -1280,22 +1224,13 @@ def run_runtime(
                 f"loads {routed.tolist()} under policy "
                 f"{config.policy!r}"
             )
-    total_lost = int(lost.sum()) + undelivered
-    if int(routed.sum()) != int(
-        worker_loads.sum() + sup.dropped.sum() + total_lost
-    ):
-        raise AssertionError(
-            f"conservation violated: routed {int(routed.sum())} != "
-            f"processed {int(worker_loads.sum())} + dropped "
-            f"{int(sup.dropped.sum())} + lost {total_lost}"
-        )
     if sup.aborted is not None:
         status = "failed"
     elif sup.dead:
         status = "degraded"
     else:
         status = "ok"
-    return RuntimeResult(
+    result = RuntimeResult(
         mode=mode,
         policy=config.policy,
         num_workers=num_workers,
@@ -1306,24 +1241,29 @@ def run_runtime(
         stalls=sup.stalls,
         checkpoint_positions=positions,
         imbalance_series=imbalances,
-        latency=latency,
+        latency=LatencyStore.merge_all(
+            LatencyStore.from_dict(report["latency"]) for report in reports
+        ),
         wall_seconds=wall,
-        stage_seconds={
-            "route": route_seconds,
-            "scatter": scatter_seconds,
-            "flush_stall": flush_seconds,
-            "drain": drain_seconds,
-            "recovery": sup.recovery_seconds,
-        },
+        stage_seconds=clock.seconds,
         flushes=flushes,
         worker_reports=reports,
         status=status,
         failures=[event.to_dict() for event in sup.failures],
-        failed_workers=tuple(sorted(sup.dead)),
+        failed_workers=tuple(dead),
         masked_workers=partitioner.masked_workers,
         lost_per_worker=lost,
-        undelivered=undelivered,
+        undelivered=int(
+            routed.sum() - sup.delivered.sum() - sup.dropped.sum()
+        ),
         restarts=sup.restarts,
         stall_timeouts=sup.stall_timeouts,
         injected_faults=tuple(s.describe() for s in plan.specs),
     )
+    if not result.conservation_ok:
+        raise AssertionError(
+            f"conservation violated: routed {result.sent} != processed "
+            f"{result.processed} + dropped {result.dropped} + lost "
+            f"{result.lost}"
+        )
+    return result

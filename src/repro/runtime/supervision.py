@@ -10,7 +10,8 @@ that role that are independent of the engine's run loop:
   A worker bumps its beat on every drain step, including idle ones, so
   silence -- not idleness -- is the death signal: a slow worker keeps
   beating and must not be condemned, a crashed or stalled one goes
-  quiet.
+  quiet.  The process backend's end-of-stream drain condemns a worker
+  once its detector expires.
 * :class:`WorkerDeadError` -- the typed verdict a backend raises when
   a worker it was waiting on is gone (``reason`` says how it was
   established: ``"exit"`` for an observed death, ``"wedged"`` for a
@@ -81,9 +82,10 @@ class WorkerDeadError(RuntimeError):
 
 
 class RunAborted(RuntimeError):
-    """Internal control flow of the ``fail`` recovery policy.
+    """Internal control flow of a run that cannot go on.
 
-    Raised inside the engine's supervised push path to unwind the
+    Raised by the engine's recovery switch (the ``fail`` policy, an
+    impossible reroute, an exhausted restart limit) to unwind the
     routing loop; ``run_runtime`` catches it and returns a partial,
     ``status="failed"`` result instead of propagating -- a *clean*
     abort, never a hang and never a silent loss.

@@ -31,7 +31,9 @@ the ring, never counted -- the engine accounts them as *lost*).
 the real multi-process engine runs it inside :func:`worker_main` (a
 module-level, picklable entrypoint -- the REPRO004 contract, same as
 ``parallel_map`` cells), and the simulated-rings fallback calls
-:meth:`WorkerLoop.step` inline from the source loop.
+:meth:`WorkerLoop.step` inline from the source loop.  Both build the
+loop from the deployment's ``RuntimeConfig`` through one mapping,
+:func:`loop_keywords`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,11 +51,15 @@ from repro.runtime.backpressure import RingStallError
 from repro.runtime.faults import FaultSpec, FaultState
 from repro.runtime.ring import SpscRing
 
+if TYPE_CHECKING:
+    from repro.runtime.engine import RuntimeConfig
+
 __all__ = [
     "FAULT_KILL_EXIT",
     "DRAIN_TIMEOUT_EXIT",
     "WorkerSpec",
     "WorkerLoop",
+    "loop_keywords",
     "worker_main",
 ]
 
@@ -74,7 +80,7 @@ DRAIN_TIMEOUT_EXIT = 71
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Plain-data description of one worker (picklable under spawn)."""
+    """Plain-data description of one worker process (picklable)."""
 
     worker_id: int
     num_workers: int
@@ -83,22 +89,29 @@ class WorkerSpec:
     #: shared-memory block name of the cluster-wide progress block
     #: (2 int64 lanes per worker: counts then beats).
     progress_name: str
-    capacity: int
-    #: seconds of simulated per-message service cost (busy-wait).
-    service_cost: float
-    #: messages between checkpoint publications to the progress array.
-    checkpoint_interval: int
-    #: LatencyStore relative error for the sojourn sketch.
-    relative_error: float = DEFAULT_RELATIVE_ERROR
-    #: largest batch one drain step pops.
-    max_batch: int = 4096
-    #: record every popped message id in the final report ("indices").
-    capture_indices: bool = False
+    #: the deployment's RuntimeConfig (ring capacity, drain deadline and
+    #: the loop keywords of :func:`loop_keywords`).
+    config: "RuntimeConfig"
     #: this worker's slice of the fault plan (injection harness).
     faults: Tuple[FaultSpec, ...] = ()
-    #: seconds of no ring progress before the drain loop gives up
-    #: (None = retry-bounded only; see drain_until_done).
-    drain_deadline: Optional[float] = None
+
+
+def loop_keywords(
+    config: "RuntimeConfig", faults: Tuple[FaultSpec, ...]
+) -> Dict[str, Any]:
+    """The :class:`WorkerLoop` keywords a deployment gives one worker.
+
+    The one mapping from ``RuntimeConfig`` to a worker loop: the inline
+    (simulated) backend and :func:`worker_main` both build through it.
+    """
+    return {
+        "service_cost": config.service_cost,
+        "checkpoint_interval": config.checkpoint_interval,
+        "relative_error": config.relative_error,
+        "max_batch": config.max_batch,
+        "capture_indices": config.capture_indices,
+        "faults": tuple(faults),
+    }
 
 
 def _busy_wait(seconds: float) -> None:
@@ -134,8 +147,7 @@ class WorkerLoop:
         capture_indices: bool = False,
         beats: Optional[np.ndarray] = None,
         faults: Tuple[FaultSpec, ...] = (),
-        hard_exit: bool = False,
-        allow_sleep: bool = False,
+        owns_process: bool = False,
     ) -> None:
         if checkpoint_interval < 1:
             raise ValueError(
@@ -162,11 +174,10 @@ class WorkerLoop:
         self.dead = False
         #: messages silently discarded by a fired ``drop`` fault.
         self.fault_dropped = 0
-        #: process mode: a kill fault _exit()s instead of setting flags.
-        self.hard_exit = bool(hard_exit)
-        #: process mode: stalls may sleep (a simulated loop must not
-        #: block its caller, which *is* the source).
-        self.allow_sleep = bool(allow_sleep)
+        #: the loop runs alone in a worker process: a kill fault
+        #: _exit()s it, and a stall may sleep (an inline loop must do
+        #: neither -- its caller *is* the source).
+        self.owns_process = bool(owns_process)
         self._faults: Optional[FaultState] = None
         if faults:
             # Fault timing is wall-clock by design (the harness injects
@@ -180,28 +191,6 @@ class WorkerLoop:
         #: against the replay's assignments; None = not capturing).
         self.captured: Optional[List[np.ndarray]] = (
             [] if capture_indices else None
-        )
-
-    @classmethod
-    def from_spec(
-        cls, spec: WorkerSpec, ring: SpscRing, progress: np.ndarray,
-        beats: Optional[np.ndarray] = None,
-        hard_exit: bool = False,
-        allow_sleep: bool = False,
-    ) -> "WorkerLoop":
-        return cls(
-            spec.worker_id,
-            ring,
-            progress,
-            service_cost=spec.service_cost,
-            checkpoint_interval=spec.checkpoint_interval,
-            relative_error=spec.relative_error,
-            max_batch=spec.max_batch,
-            capture_indices=spec.capture_indices,
-            beats=beats,
-            faults=spec.faults,
-            hard_exit=hard_exit,
-            allow_sleep=allow_sleep,
         )
 
     @property
@@ -235,7 +224,7 @@ class WorkerLoop:
     def _die(self) -> None:
         """Abrupt crash: no report, no checkpoint, no cleanup."""
         self.dead = True
-        if self.hard_exit:
+        if self.owns_process:
             os._exit(FAULT_KILL_EXIT)
 
     def step(self) -> int:
@@ -256,7 +245,7 @@ class WorkerLoop:
             if faults.stall_remaining(now) > 0.0:
                 # Stalled: no drain, no heartbeat (that silence is the
                 # signal supervision detects).
-                if self.allow_sleep:
+                if self.owns_process:
                     time.sleep(
                         min(faults.stall_remaining(now), _STALL_SLEEP)
                     )
@@ -382,19 +371,22 @@ def worker_main(spec: WorkerSpec, result_queue: Any) -> None:
 
     ring_shm = shared_memory.SharedMemory(name=spec.ring_name)
     progress_shm = shared_memory.SharedMemory(name=spec.progress_name)
-    ring = lanes = progress = beats = loop = None
+    ring = lanes = loop = None
     try:
-        ring = SpscRing.from_buffer(ring_shm.buf, spec.capacity)
+        ring = SpscRing.from_buffer(ring_shm.buf, spec.config.capacity)
         lanes = np.ndarray(
             (2 * spec.num_workers,), dtype=np.int64, buffer=progress_shm.buf
         )
-        progress = lanes[: spec.num_workers]
-        beats = lanes[spec.num_workers :]
-        loop = WorkerLoop.from_spec(
-            spec, ring, progress, beats=beats, hard_exit=True, allow_sleep=True
+        loop = WorkerLoop(
+            spec.worker_id,
+            ring,
+            lanes[: spec.num_workers],
+            beats=lanes[spec.num_workers :],
+            owns_process=True,
+            **loop_keywords(spec.config, spec.faults),
         )
         try:
-            loop.drain_until_done(deadline=spec.drain_deadline)
+            loop.drain_until_done(deadline=spec.config.drain_deadline)
         except RingStallError:
             # Producer went silent past the deadline: exit with a
             # recognisable code instead of hanging as an orphan.
@@ -402,6 +394,6 @@ def worker_main(spec: WorkerSpec, result_queue: Any) -> None:
         result_queue.put(loop.report())
     finally:
         # Views must die before the mappings close.
-        del ring, progress, beats, lanes, loop
+        del ring, lanes, loop
         ring_shm.close()
         progress_shm.close()

@@ -300,8 +300,8 @@ class TestFailureCost:
         [pytest.param("process", marks=needs_processes), "simulated"],
     )
     def test_stage_seconds_do_not_exceed_wall(self, mode):
-        # Every stage is a disjoint slice of the run's wall clock, so
-        # recovery must not also be booked under scatter or flush.
+        # The stages partition the run's wall clock, so recovery must
+        # not also be booked under scatter or flush, nor go missing.
         plan = FaultPlan.parse(["kill:w=1@n=2000"], seed=42)
         make_config = process_config if mode == "process" else simulated_config
         result = run_runtime(
@@ -311,4 +311,45 @@ class TestFailureCost:
         )
         assert result.restarts == 1
         assert result.stage_seconds["recovery"] > 0.0
-        assert sum(result.stage_seconds.values()) <= result.wall_seconds + 1e-4
+        assert abs(
+            result.wall_seconds - sum(result.stage_seconds.values())
+        ) <= 1e-3
+
+
+class TestEndOfStreamRecovery:
+    """Deaths found only by the final drain run the same recovery switch.
+
+    Worker 1 dies 2000 messages before the end of its share.  The rings
+    hold more than that, so no push ever stalls after the kill, and the
+    death is found only when the source drains the workers.
+    """
+
+    @pytest.mark.parametrize(
+        "mode",
+        [pytest.param("process", marks=needs_processes), "simulated"],
+    )
+    @pytest.mark.parametrize(
+        "recovery, status",
+        [("restart", "ok"), ("reroute", "degraded"), ("fail", "failed")],
+    )
+    def test_final_drain_death(self, mode, recovery, status):
+        replay = replay_stream(STREAM, make_partitioner("pkg", 4, seed=42))
+        share = int(replay.final_loads[1])
+        plan = FaultPlan.parse([f"kill:w=1@n={share - 2000}"], seed=42)
+        make_config = process_config if mode == "process" else simulated_config
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            make_config(recovery, plan, capacity=4096),
+        )
+        assert result.status == status, result.failures
+        assert result.conservation_ok
+        assert [(f["reason"], f["action"]) for f in result.failures] == [
+            ("exit", recovery)
+        ]
+        assert result.stall_timeouts == 0
+        if recovery == "restart":
+            assert (
+                result.worker_loads.astype(np.int64).tobytes()
+                == replay.final_loads.astype(np.int64).tobytes()
+            )

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.runtime import (
     PushOutcome,
-    RingStalledError,
+    RingStallError,
     SpscRing,
     push_with_backpressure,
     ring_nbytes,
@@ -182,7 +182,7 @@ class TestBackpressureUnit:
     def test_stalled_drain_raises(self):
         ring = SpscRing.create_local(2)
         ring.try_push(*_batch(0, 2))
-        with pytest.raises(RingStalledError):
+        with pytest.raises(RingStallError):
             push_with_backpressure(
                 ring, *_batch(2, 1), "block", drain=lambda: 0
             )

@@ -25,7 +25,12 @@ from hypothesis import strategies as st
 from repro.api import available_schemes, make_partitioner
 from repro.core.chunks import ArrayChunkSource, counting_scatter
 from repro.core.engine import replay_stream
-from repro.runtime import RuntimeConfig, run_runtime, runtime_available
+from repro.runtime import (
+    FaultPlan,
+    RuntimeConfig,
+    run_runtime,
+    runtime_available,
+)
 from repro.streams.datasets import get_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -150,9 +155,35 @@ class TestStageBreakdown:
         }
         for stage, seconds in result.stage_seconds.items():
             assert seconds >= 0.0, stage
-        assert sum(result.stage_seconds.values()) <= result.wall_seconds
+        assert abs(
+            result.wall_seconds - sum(result.stage_seconds.values())
+        ) <= 1e-3
         assert result.transport_overhead_ratio >= 1.0
         assert result.flushes >= 4  # at least one flush per worker
+
+    @pytest.mark.parametrize(
+        "mode", [pytest.param("process", marks=needs_processes), "simulated"]
+    )
+    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("fault", [None, "kill:w=1@n=2000"])
+    def test_stages_partition_the_wall_clock(self, mode, streaming, fault):
+        # Every wall second lands in exactly one stage -- including the
+        # time a ChunkSource spends generating its next chunk (route)
+        # and a kill's assessment, respawn and replay (recovery).
+        n = 200_000
+        spec = get_dataset("WP")
+        keys = spec.chunk_source(n, seed=3) if streaming else spec.stream(n, seed=3)
+        config = RuntimeConfig(
+            mode=mode,
+            liveness_deadline=2.0,
+            recovery="restart",
+            faults=None if fault is None else FaultPlan.parse([fault], seed=3),
+        )
+        result = run_runtime(keys, make_partitioner("pkg", 4, seed=3), config)
+        assert result.status == "ok", result.failures
+        assert result.restarts == (0 if fault is None else 1)
+        stages = result.stage_seconds
+        assert abs(result.wall_seconds - sum(stages.values())) <= 1e-3, stages
 
     def test_flush_count_scales_with_flush_size(self):
         small = run_runtime(
