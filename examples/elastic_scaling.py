@@ -12,7 +12,7 @@ Run:  python examples/elastic_scaling.py
 import numpy as np
 
 from repro.api import make_partitioner
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams import ZipfKeyDistribution
 
 
@@ -35,7 +35,7 @@ def main() -> None:
         ("ring PKG", "ch-pkg"),
         ("hash KG", "kg"),
     ):
-        result = simulate_stream(keys, spec, num_workers=10, seed=1)
+        result = replay_stream(keys, make_partitioner(spec, 10, seed=1))
         print(f"{name:9s} avg imbalance = {result.average_imbalance:10.1f}")
 
     # Elasticity: shrink the pool from 10 to 9 workers.

@@ -54,8 +54,8 @@ from repro.streams import (
     get_dataset,
 )
 
-# The unified public API (kept last: repro.api pulls in the dspe and
-# simulation layers, which build on everything above).
+# The unified public API (kept last: repro.api pulls in the dspe layer
+# and the core replay engine, which build on everything above).
 from repro.api import (
     RunResult,
     Topology,

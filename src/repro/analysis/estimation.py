@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analysis.bounds import feasible_workers
-from repro.simulation.multisource import simulate_multisource_pkg
+from repro.core.engine import simulate_multisource_pkg
 from repro.streams.distributions import KeyDistribution
 
 

@@ -59,19 +59,6 @@ Examples: ``"pkg"``, ``"pkg:d=3"`` (shorthand ``d`` ->
   override spec-string values;
 * unknown names, malformed params, and kwargs the constructor does not
   accept all raise :class:`ValueError` listing the valid options.
-
-Migrating from ``SCHEMES``
---------------------------
-
-The pre-registry ``repro.dspe.topology.SCHEMES`` dict still works but
-emits :class:`DeprecationWarning`.  Replace::
-
-    SCHEMES["pkg"](num_workers)          # deprecated
-    make_partitioner("pkg", num_workers)  # registry equivalent
-
-and replace any private name->constructor tables with
-:func:`register` decorators so new schemes appear in
-:func:`available_schemes`, the benchmarks, and the report CLI for free.
 """
 
 from __future__ import annotations

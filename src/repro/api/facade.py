@@ -8,15 +8,14 @@ benchmarks can swap paths without reshaping their downstream code.
 
 Both paths also *execute* through one core: the frequency path replays
 on the chunked engine (:func:`repro.core.engine.replay_stream` /
-``replay_per_source``, reached via the thin
-:mod:`repro.simulation` adapters) and the DSPE path schedules on the
-same package's :class:`~repro.core.engine.EventLoop`.
+``replay_per_source``) and the DSPE path schedules on the same
+package's :class:`~repro.core.engine.EventLoop`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Type, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Type, Union
 
 import numpy as np
 
@@ -24,9 +23,9 @@ from repro.api.registry import make_partitioner
 
 if TYPE_CHECKING:
     from repro.api.topology import Topology
+    from repro.core.engine import ReplayResult
     from repro.dspe.metrics import RunMetrics
     from repro.partitioning.base import Partitioner
-    from repro.simulation.runner import SimulationResult
     from repro.streams.distributions import KeyDistribution
 
 __all__ = ["RunResult", "run"]
@@ -63,7 +62,7 @@ class RunResult:
     latency_max: Optional[float] = None
     average_memory: Optional[float] = None
     peak_memory: Optional[float] = None
-    #: the underlying RunMetrics / SimulationResult, for specialists
+    #: the underlying RunMetrics / ReplayResult, for specialists
     details: Any = field(default=None, repr=False)
 
     @property
@@ -79,25 +78,25 @@ class RunResult:
         return self.final_imbalance / self.num_messages
 
     @classmethod
-    def from_simulation(
-        cls, sim: "SimulationResult", memory_entries: Optional[int] = None
+    def from_replay(
+        cls, replay: "ReplayResult", memory_entries: Optional[int] = None
     ) -> "RunResult":
-        """Wrap a frequency-only :class:`SimulationResult`."""
+        """Wrap a frequency-only :class:`~repro.core.engine.ReplayResult`."""
         return cls(
-            scheme=sim.scheme,
-            num_workers=sim.num_workers,
-            num_sources=sim.num_sources,
-            num_messages=sim.num_messages,
-            worker_loads=np.asarray(sim.final_loads),
-            average_imbalance=sim.average_imbalance,
-            final_imbalance=sim.final_imbalance,
+            scheme=replay.scheme,
+            num_workers=replay.num_workers,
+            num_sources=replay.num_sources,
+            num_messages=replay.num_messages,
+            worker_loads=np.asarray(replay.final_loads),
+            average_imbalance=replay.average_imbalance,
+            final_imbalance=replay.final_imbalance,
             average_memory=(
                 float(memory_entries) if memory_entries is not None else None
             ),
             peak_memory=(
                 float(memory_entries) if memory_entries is not None else None
             ),
-            details=sim,
+            details=replay,
         )
 
     @classmethod
@@ -230,9 +229,8 @@ def run(
         )
 
     # Frequency-only path.
+    from repro.core.engine import replay_per_source, replay_stream
     from repro.partitioning.base import Partitioner
-    from repro.simulation.multisource import simulate_partitioner_per_source
-    from repro.simulation.runner import simulate_stream
 
     num_sources = 1 if num_sources is None else int(num_sources)
     seed = 0 if seed is None else int(seed)
@@ -261,15 +259,15 @@ def run(
 
     if num_sources <= 1:
         partitioner = make_partitioner(target, num_workers, seed=seed, **scheme_kwargs)
-        sim = simulate_stream(
+        replay = replay_stream(
             key_array,
             partitioner,
             timestamps=timestamps,
             num_checkpoints=num_checkpoints,
             keep_assignments=keep_assignments,
         )
-        return RunResult.from_simulation(
-            sim, memory_entries=partitioner.memory_entries()
+        return RunResult.from_replay(
+            replay, memory_entries=partitioner.memory_entries()
         )
 
     if isinstance(target, Partitioner):
@@ -277,22 +275,15 @@ def run(
             "multi-source runs need one partitioner per source; pass a "
             "scheme name or spec string instead of a built instance"
         )
-    instances: List[Partitioner] = []
-
-    def per_source(_s: int) -> Partitioner:
-        p = make_partitioner(target, num_workers, seed=seed, **scheme_kwargs)
-        instances.append(p)
-        return p
-
-    sim = simulate_partitioner_per_source(
+    replay, partitioners = replay_per_source(
         key_array,
-        per_source,
+        lambda _s: make_partitioner(target, num_workers, seed=seed, **scheme_kwargs),
         num_workers,
         num_sources=num_sources,
         timestamps=timestamps,
         num_checkpoints=num_checkpoints,
         keep_assignments=keep_assignments,
     )
-    return RunResult.from_simulation(
-        sim, memory_entries=sum(p.memory_entries() for p in instances)
+    return RunResult.from_replay(
+        replay, memory_entries=sum(p.memory_entries() for p in partitioners)
     )

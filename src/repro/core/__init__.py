@@ -1,8 +1,7 @@
 """The unified chunked execution core.
 
-Every replay path of this reproduction -- the single-source frequency
-simulations (:mod:`repro.simulation.runner`), the multi-source
-interleaved simulations (:mod:`repro.simulation.multisource`), and the
+Every replay path of this reproduction -- the single- and multi-source
+frequency simulations of the paper's Section V (Q1-Q3) and the
 discrete-event DSPE cluster (:mod:`repro.dspe`) -- executes through
 this package:
 
@@ -10,9 +9,13 @@ this package:
   (non-integer keys are factorised to int64 ids so hashing is paid
   once per *distinct* key);
 * :mod:`repro.core.metrics` -- streaming checkpoint/imbalance
-  accumulation, so replays never need the full assignment array;
-* :mod:`repro.core.engine` -- the chunked replay engine (and the
-  discrete-event loop the DSPE cluster runs on);
+  accumulation, so replays never need the full assignment array, plus
+  the batch balance metrics (imbalance, routing overlap, partial
+  states);
+* :mod:`repro.core.engine` -- the chunked replay engine, its one
+  :class:`~repro.core.engine.ReplayResult`, the multi-source PKG
+  entry point :func:`~repro.core.engine.simulate_multisource_pkg`
+  (and the discrete-event loop the DSPE cluster runs on);
 * :mod:`repro.core.parallel` -- the deterministic multi-process sweep
   executor (order-preserving :func:`~repro.core.parallel.parallel_map`
   plus the shared-memory materialized stream cache) that experiment

@@ -1,17 +1,21 @@
 """The unified chunked execution engine (and the discrete-event loop).
 
-One replay implementation for every path in the repo:
+One replay implementation for every path in the repo, behind the
+paper's Section V simulations (Q1-Q3):
 
-* :func:`replay_stream` -- single partitioner, one pass (the old
-  ``simulation.runner`` loop);
+* :func:`replay_stream` -- single partitioner, one pass;
 * :func:`replay_per_source` -- S independent per-source partitioner
-  instances merged back into arrival order (the old
-  ``simulation.multisource`` generic runner);
+  instances merged back into arrival order;
 * :func:`replay_interleaved` -- S sources sharing the paper's
   local/global/probing load-estimation modes over one precomputed hash
-  matrix (the old ``simulation.multisource`` hot loop);
+  matrix, with :func:`simulate_multisource_pkg` building that matrix
+  for PKG and :func:`assign_sources` splitting the stream over the
+  sources;
 * :class:`EventLoop` -- the deterministic event heap the DSPE cluster
   (:mod:`repro.dspe`) schedules on.
+
+Every replay returns one :class:`ReplayResult`: the true worker loads
+and the checkpoint imbalance series ``I(t) = max_i Li(t) - avg_i Li(t)``.
 
 All stream replays drive fixed-size key chunks through
 ``Partitioner.route_chunk`` and feed a
@@ -26,7 +30,7 @@ otherwise; both are decision-identical.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,11 +41,13 @@ from repro.core.chunks import (
     KeyStream,
     StreamLike,
     as_key_array,
+    hashed_choices,
     iter_chunks,
     iter_keyed_chunks,
     stream_length,
 )
 from repro.core.metrics import StreamingLoadSeries
+from repro.hashing import HashFamily, HashFunction
 
 if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
@@ -52,6 +58,8 @@ __all__ = [
     "replay_stream",
     "replay_per_source",
     "replay_interleaved",
+    "assign_sources",
+    "simulate_multisource_pkg",
     "route_chunked",
     "greedy_route_chunk",
     "least_loaded_chunk",
@@ -317,14 +325,56 @@ class InterleavedRouter:
 
 @dataclass
 class ReplayResult:
-    """Outcome of one chunked replay, scheme-agnostic."""
+    """Outcome of replaying a stream through a partitioning scheme."""
 
+    scheme: str
     num_workers: int
+    num_sources: int
     num_messages: int
     final_loads: np.ndarray
     checkpoint_positions: np.ndarray
     imbalance_series: np.ndarray
-    assignments: Optional[np.ndarray] = None
+    #: per-message worker assignment (kept only on request; large)
+    assignments: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def final_imbalance(self) -> float:
+        """``I(m)`` at the end of the stream."""
+        return float(self.final_loads.max() - self.final_loads.mean())
+
+    @property
+    def average_imbalance(self) -> float:
+        """Mean I(t) over checkpoints -- the Table II statistic."""
+        if self.imbalance_series.size == 0:
+            return 0.0
+        return float(self.imbalance_series.mean())
+
+    @property
+    def average_imbalance_fraction(self) -> float:
+        """Average imbalance / total messages -- the Figure 2 y-axis."""
+        if self.num_messages == 0:
+            return 0.0
+        return self.average_imbalance / self.num_messages
+
+    @property
+    def final_imbalance_fraction(self) -> float:
+        if self.num_messages == 0:
+            return 0.0
+        return self.final_imbalance / self.num_messages
+
+    @property
+    def imbalance_fraction_series(self) -> np.ndarray:
+        """I(t) normalised by messages-so-far (the Figure 3 y-axis)."""
+        positions = np.maximum(self.checkpoint_positions, 1)
+        return self.imbalance_series / positions
+
+    def summary(self) -> str:
+        """One-line human-readable digest."""
+        return (
+            f"{self.scheme}: W={self.num_workers} S={self.num_sources} "
+            f"m={self.num_messages} avg I={self.average_imbalance:.2f} "
+            f"(fraction {self.average_imbalance_fraction:.3e})"
+        )
 
 
 def _as_times(
@@ -338,6 +388,55 @@ def _as_times(
             f"timestamps has {times.size} entries for {num_messages} messages"
         )
     return times
+
+
+def _source_ids(
+    source_ids: Optional[np.ndarray], num_messages: int, num_sources: int
+) -> np.ndarray:
+    """Per-message source ids: round-robin by default, else validated."""
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
+    if source_ids is None:
+        return np.arange(num_messages, dtype=np.int64) % num_sources
+    source_ids = np.asarray(source_ids, dtype=np.int64)
+    if source_ids.size != num_messages:
+        raise ValueError("source_ids must have one entry per message")
+    if num_messages and (
+        int(source_ids.min()) < 0 or int(source_ids.max()) >= num_sources
+    ):
+        raise ValueError("source_ids references a source outside [0, S)")
+    return source_ids
+
+
+def assign_sources(
+    num_messages: int,
+    num_sources: int,
+    source_keys: Optional[np.ndarray] = None,
+    seed: int = 0,
+) -> np.ndarray:
+    """Which source PEI handles each message.
+
+    With ``source_keys=None`` messages are spread round-robin (shuffle
+    grouping upstream, the paper's default: "read by multiple
+    independent sources via shuffle grouping").  Otherwise messages are
+    key-grouped on ``source_keys`` -- the skewed split of Q3, where the
+    source key is the graph edge's source vertex.
+    """
+    if source_keys is None:
+        return _source_ids(None, num_messages, num_sources)
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
+    source_keys = np.asarray(source_keys)
+    if source_keys.size != num_messages:
+        raise ValueError("source_keys must have one entry per message")
+    hasher = HashFunction(seed=seed ^ 0x5CE5)
+    if np.issubdtype(source_keys.dtype, np.integer):
+        return hasher.bucket_array(source_keys, num_sources)
+    return np.fromiter(
+        (hasher.bucket(k, num_sources) for k in source_keys),
+        dtype=np.int64,
+        count=num_messages,
+    )
 
 
 def route_chunked(
@@ -394,7 +493,9 @@ def replay_stream(
             assignments[start:stop] = chunk
     positions, imbalances = series.finish()
     return ReplayResult(
+        scheme=partitioner.name,
         num_workers=partitioner.num_workers,
+        num_sources=1,
         num_messages=m,
         final_loads=series.loads.copy(),
         checkpoint_positions=positions,
@@ -426,16 +527,7 @@ def replay_per_source(
     keys = as_key_array(keys)
     m = int(keys.size)
     times = _as_times(timestamps, m)
-    if source_ids is None:
-        source_ids = np.arange(m, dtype=np.int64) % max(1, int(num_sources))
-    else:
-        source_ids = np.asarray(source_ids, dtype=np.int64)
-        if source_ids.size != m:
-            raise ValueError("source_ids must have one entry per message")
-        if m and (
-            int(source_ids.min()) < 0 or int(source_ids.max()) >= num_sources
-        ):
-            raise ValueError("source_ids references a source >= num_sources")
+    source_ids = _source_ids(source_ids, m, num_sources)
 
     workers = np.empty(m, dtype=np.int64)
     partitioners: List["Partitioner"] = []
@@ -456,7 +548,9 @@ def replay_per_source(
     positions, imbalances = series.finish()
     return (
         ReplayResult(
+            scheme=partitioners[0].name,
             num_workers=int(num_workers),
+            num_sources=int(num_sources),
             num_messages=m,
             final_loads=series.loads.copy(),
             checkpoint_positions=positions,
@@ -486,7 +580,8 @@ def replay_interleaved(
     decisions interleave in arrival order, so local views, the shared
     true loads, and probe resyncs evolve exactly as in the paper's
     multi-source setting.  In probing mode ``timestamps`` defaults to
-    the message index.
+    the message index.  The result is named after the mode: ``L<S>``
+    (local), ``G`` (global) or ``L<S>P`` (probing).
     """
     choice_matrix = np.ascontiguousarray(choice_matrix, dtype=np.int64)
     m = int(choice_matrix.shape[0])
@@ -518,13 +613,73 @@ def replay_interleaved(
             assignments[start:stop] = chunk
     positions, imbalances = series.finish()
     return ReplayResult(
+        scheme={
+            "local": f"L{num_sources}",
+            "global": "G",
+            "probing": f"L{num_sources}P",
+        }[mode],
         num_workers=int(num_workers),
+        num_sources=int(num_sources),
         num_messages=m,
         final_loads=series.loads.copy(),
         checkpoint_positions=positions,
         imbalance_series=imbalances,
         assignments=assignments,
     )
+
+
+def simulate_multisource_pkg(
+    keys: Sequence,
+    num_workers: int,
+    num_sources: int = 1,
+    mode: str = "local",
+    num_choices: int = 2,
+    probe_period: float = 0.0,
+    timestamps: Optional[np.ndarray] = None,
+    source_ids: Optional[np.ndarray] = None,
+    num_checkpoints: int = 100,
+    seed: int = 0,
+    keep_assignments: bool = False,
+    scheme_name: Optional[str] = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> ReplayResult:
+    """PKG with S sources under a chosen load-estimation mode.
+
+    Parameters
+    ----------
+    mode:
+        ``"local"`` (paper's L), ``"global"`` (G, shared oracle), or
+        ``"probing"`` (LP: local + resync to true loads every
+        ``probe_period`` time units).
+    timestamps:
+        Message times; required for probing (defaults to message index).
+    source_ids:
+        Per-message source assignment; defaults to round-robin.
+    scheme_name:
+        Label of the result; defaults to the mode's name (see
+        :func:`replay_interleaved`).
+
+    Returns a :class:`ReplayResult` whose loads are the *true* worker
+    loads accumulated across all sources.
+    """
+    keys = np.asarray(keys)
+    source_ids = _source_ids(source_ids, int(keys.size), num_sources)
+    family = HashFamily(size=num_choices, seed=seed)
+    replay = replay_interleaved(
+        hashed_choices(family, keys, num_workers),
+        source_ids,
+        num_sources,
+        num_workers,
+        mode=mode,
+        probe_period=probe_period,
+        timestamps=timestamps,
+        num_checkpoints=num_checkpoints,
+        chunk_size=chunk_size,
+        keep_assignments=keep_assignments,
+    )
+    if scheme_name is not None:
+        replay.scheme = scheme_name
+    return replay
 
 
 # ---------------------------------------------------------------------------

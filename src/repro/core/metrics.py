@@ -1,18 +1,25 @@
-"""Streaming checkpoint/imbalance accumulation.
+"""Load-balance metrics, batch and streaming.
 
-The paper reports the imbalance time series ``I(t)`` sampled at evenly
-spaced checkpoints (Section II; Figures 2-4, Table II).  The batch
-implementation needed the full per-message assignment array;
-:class:`StreamingLoadSeries` accumulates the same statistics one chunk
-at a time, so the engine can route and discard windows while producing
-**bit-identical** positions and imbalance values: loads are integer
-bincounts accumulated in the same order, and the checkpoint grid is a
-pure function of the total message count.
+All definitions follow Section II of the paper:
+
+* load ``Li(t)`` -- messages handled by worker i up to time t;
+* imbalance ``I(t) = max_i Li(t) - avg_i Li(t)``, sampled at evenly
+  spaced checkpoints (Figures 2-4, Table II);
+* the figures plot the *fraction of imbalance*: ``I`` normalised by the
+  total number of messages.
+
+:class:`StreamingLoadSeries` accumulates the checkpoint series one
+chunk at a time, so the engine can route and discard windows while
+producing **bit-identical** positions and imbalance values: loads are
+integer bincounts accumulated in the same order, and the checkpoint
+grid is a pure function of the total message count.  The batch
+functions below score a whole load vector (imbalance) or whole
+assignment arrays (routing overlap, partial-state counts).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -111,3 +118,129 @@ class StreamingLoadSeries:
                 f"{self.num_messages} messages"
             )
         return self.positions, self.imbalances
+
+
+def imbalance(loads: Sequence[float]) -> float:
+    """``I = max(L) - avg(L)`` of a worker-load vector."""
+    loads = np.asarray(loads, dtype=np.float64)
+    if loads.size == 0:
+        raise ValueError("imbalance of an empty load vector is undefined")
+    return float(loads.max() - loads.mean())
+
+
+def imbalance_fraction(loads: Sequence[float]) -> float:
+    """Imbalance normalised by total messages (the figures' y-axis)."""
+    loads = np.asarray(loads, dtype=np.float64)
+    total = loads.sum()
+    if total <= 0:
+        return 0.0
+    return imbalance(loads) / float(total)
+
+
+def load_series(
+    workers: np.ndarray, num_workers: int, num_checkpoints: int = 100
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Imbalance ``I(t)`` sampled at evenly spaced checkpoints.
+
+    Parameters
+    ----------
+    workers:
+        Per-message worker assignment, in arrival order.
+    num_workers:
+        Worker count W (workers never hit still count toward the mean).
+    num_checkpoints:
+        Number of sample points; the last checkpoint is the stream end.
+
+    Returns
+    -------
+    (positions, imbalances):
+        ``positions[j]`` is the message count at checkpoint j,
+        ``imbalances[j]`` the imbalance there.
+    """
+    workers = np.asarray(workers, dtype=np.int64)
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    if workers.size == 0:
+        return np.array([], dtype=np.int64), np.array([])
+    # One-shot wrapper over the streaming accumulator the chunked
+    # engine uses, so batch and chunked replays share one definition.
+    series = StreamingLoadSeries(workers.size, num_workers, num_checkpoints)
+    series.update(workers)
+    return series.finish()
+
+
+def average_imbalance(
+    workers: np.ndarray, num_workers: int, num_checkpoints: int = 100
+) -> float:
+    """Mean of ``I(t)`` over checkpoints ("average imbalance measured
+    throughout the simulation", Table II)."""
+    _, series = load_series(workers, num_workers, num_checkpoints)
+    if series.size == 0:
+        return 0.0
+    return float(series.mean())
+
+
+def jaccard_overlap(workers_a: np.ndarray, workers_b: np.ndarray) -> float:
+    """Jaccard overlap of two routings of the same stream.
+
+    Treats each routing as the set of (message, destination) pairs; the
+    intersection is the messages sent to the same worker by both.  This
+    is the statistic behind the paper's Q2 observation that G and L
+    agree on only ~47% of destinations yet balance equally well.
+    """
+    workers_a = np.asarray(workers_a)
+    workers_b = np.asarray(workers_b)
+    if workers_a.shape != workers_b.shape:
+        raise ValueError("routings must cover the same messages")
+    m = workers_a.size
+    if m == 0:
+        return 1.0
+    equal = int((workers_a == workers_b).sum())
+    return equal / (2 * m - equal)
+
+
+def agreement_fraction(workers_a: np.ndarray, workers_b: np.ndarray) -> float:
+    """Fraction of messages routed identically by two schemes."""
+    workers_a = np.asarray(workers_a)
+    workers_b = np.asarray(workers_b)
+    if workers_a.shape != workers_b.shape:
+        raise ValueError("routings must cover the same messages")
+    if workers_a.size == 0:
+        return 1.0
+    return float((workers_a == workers_b).mean())
+
+
+def count_partial_states(keys: np.ndarray, workers: np.ndarray) -> int:
+    """Number of distinct (worker, key) partial states created.
+
+    This is the memory cost of a stateful operator under a given
+    partitioning (Section III-A): key grouping creates exactly K
+    partials, PKG at most 2K, shuffle grouping up to W*K.
+    """
+    keys = np.asarray(keys)
+    workers = np.asarray(workers, dtype=np.int64)
+    if keys.shape != workers.shape:
+        raise ValueError("keys and workers must align")
+    if keys.size == 0:
+        return 0
+    if np.issubdtype(keys.dtype, np.integer):
+        # Pack each pair as worker * span + (key - min): offsetting by the
+        # minimum keeps negative keys from colliding across workers.
+        low = np.int64(keys.min())
+        span = np.int64(keys.max()) - low + 1
+        combined = workers * span + (keys.astype(np.int64) - low)
+        return int(np.unique(combined).size)
+    return len(set(zip(workers.tolist(), keys.tolist())))
+
+
+def replication_factor(keys: np.ndarray, workers: np.ndarray) -> float:
+    """Average number of workers holding state for each distinct key."""
+    keys = np.asarray(keys)
+    num_keys = (
+        int(np.unique(keys).size)
+        if keys.size
+        else 0
+    )
+    if num_keys == 0:
+        return 0.0
+    return count_partial_states(keys, workers) / num_keys

@@ -7,7 +7,6 @@ entry point used by the Figure 5 harnesses and benchmarks.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,37 +19,6 @@ from repro.dspe.metrics import LatencyStats, RunMetrics
 from repro.hashing import HashFamily
 from repro.partitioning import Partitioner
 from repro.streams.distributions import KeyDistribution
-
-
-#: cached deprecated-SCHEMES dict; one stable object so that legacy
-#: mutation (``SCHEMES["mine"] = factory``) and iteration keep working
-_SCHEMES_SHIM: Optional[dict] = None
-
-
-def __getattr__(name: str):
-    # Backward-compatible shim: the old module-level ``SCHEMES`` dict is
-    # superseded by the repro.api partitioner registry.  It keeps the
-    # original three keys (kg/sg/pkg) so legacy sweeps iterate the same
-    # scheme set they always did.
-    if name == "SCHEMES":
-        global _SCHEMES_SHIM
-        warnings.warn(
-            "repro.dspe.topology.SCHEMES is deprecated; use "
-            "repro.api.make_partitioner / repro.api.available_schemes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if _SCHEMES_SHIM is None:
-            _SCHEMES_SHIM = {
-                scheme: (
-                    lambda w, seed=0, _s=scheme: make_partitioner(
-                        _s, w, seed=seed
-                    )
-                )
-                for scheme in ("kg", "sg", "pkg")
-            }
-        return _SCHEMES_SHIM
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.core.engine import simulate_multisource_pkg
+from repro.core.metrics import jaccard_overlap
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import jaccard_overlap, simulate_multisource_pkg
 from repro.streams.datasets import get_dataset
 
 

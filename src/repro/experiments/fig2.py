@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.api.registry import make_partitioner
+from repro.core.engine import replay_stream, simulate_multisource_pkg
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import simulate_multisource_pkg, simulate_stream
 from repro.streams.datasets import get_dataset
 
 DEFAULT_DATASETS = ("TW", "WP", "CT", "LN1", "LN2")
@@ -36,8 +37,10 @@ def _fig2_cell(cell) -> Fig2Row:
     symbol, messages, technique, w, seed, num_checkpoints = cell
     keys = dataset_stream_cached(symbol, messages, seed)
     if technique == "H":
-        result = simulate_stream(
-            keys, "kg", num_workers=w, seed=seed, num_checkpoints=num_checkpoints
+        result = replay_stream(
+            keys,
+            make_partitioner("kg", w, seed=seed),
+            num_checkpoints=num_checkpoints,
         )
     elif technique == "G":
         result = simulate_multisource_pkg(

@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.engine import simulate_multisource_pkg
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import simulate_multisource_pkg
 from repro.streams.datasets import get_dataset
 
 #: dataset -> simulated stream span in hours (mirrors the paper's x-axes)

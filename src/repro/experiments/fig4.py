@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.engine import assign_sources, simulate_multisource_pkg
 from repro.core.parallel import edge_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import assign_sources, simulate_multisource_pkg
 from repro.streams.datasets import get_dataset
 
 

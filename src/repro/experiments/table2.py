@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.registry import make_partitioner
+from repro.core.engine import replay_stream, simulate_multisource_pkg
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table, sci
 from repro.partitioning import OfflineGreedy
-from repro.simulation import simulate_multisource_pkg, simulate_stream
 from repro.streams.datasets import get_dataset
 
 SCHEME_ORDER = ("PKG", "Off-Greedy", "On-Greedy", "PoTC", "H")
@@ -60,7 +60,7 @@ def _run_scheme(scheme: str, keys, num_workers: int, config: ExperimentConfig):
         )
     else:
         raise ValueError(f"unknown Table II scheme {scheme!r}")
-    return simulate_stream(
+    return replay_stream(
         keys, partitioner, num_checkpoints=config.num_checkpoints
     )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunResult, make_partitioner, run
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 KEYS = ZipfKeyDistribution(1.2, 5_000).sample(
@@ -25,9 +25,9 @@ class TestFrequencyPath:
         assert result.throughput is None
         assert result.latency_mean is None
 
-    def test_matches_direct_simulate_stream(self):
+    def test_matches_direct_replay_stream(self):
         facade = run("pkg", keys=KEYS, num_workers=10, seed=3)
-        direct = simulate_stream(
+        direct = replay_stream(
             KEYS, make_partitioner("pkg", 10, seed=3)
         )
         assert facade.average_imbalance == direct.average_imbalance
@@ -121,25 +121,6 @@ class TestArgumentValidation:
 
 
 class TestBackwardCompat:
-    def test_schemes_dict_still_works_with_deprecation(self):
-        import repro.dspe.topology as topo_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            schemes = topo_module.SCHEMES
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        # Old call shape: factory(num_workers, seed) -> Partitioner,
-        # and the original key set, as a stable (mutable) object.
-        assert sorted(schemes) == ["kg", "pkg", "sg"]
-        for name in ("kg", "sg", "pkg"):
-            p = schemes[name](5, 0)
-            assert p.num_workers == 5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert topo_module.SCHEMES is schemes
-
     def test_run_wordcount_accepts_spec_strings(self):
         from repro.dspe import ClusterConfig, run_wordcount
 

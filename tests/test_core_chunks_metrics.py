@@ -13,7 +13,7 @@ from repro.core.chunks import (
 )
 from repro.core.metrics import StreamingLoadSeries, checkpoint_positions
 from repro.hashing import HashFamily, HashFunction
-from repro.simulation.metrics import load_series
+from repro.core.metrics import load_series
 
 
 class TestIterChunks:

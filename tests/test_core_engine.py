@@ -13,7 +13,7 @@ from repro.core.engine import (
     route_chunked,
 )
 from repro.hashing import HashFamily
-from repro.simulation.metrics import load_series
+from repro.core.metrics import load_series
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -176,7 +176,7 @@ class TestInterleavedRouter:
             replay_interleaved(bad, np.zeros(5, dtype=np.int64), 1, 4)
 
     def test_negative_source_ids_rejected_by_adapter(self):
-        from repro.simulation.multisource import simulate_multisource_pkg
+        from repro.core.engine import simulate_multisource_pkg
 
         with pytest.raises(ValueError, match="source"):
             simulate_multisource_pkg(
@@ -184,6 +184,15 @@ class TestInterleavedRouter:
                 num_workers=3,
                 num_sources=2,
                 source_ids=np.array([0, -1, 0, 1, 0, 1], dtype=np.int64),
+            )
+
+    def test_zero_sources_rejected(self):
+        with pytest.raises(ValueError, match="num_sources"):
+            replay_per_source(
+                np.arange(1000),
+                lambda s: make_partitioner("kg", 4),
+                4,
+                num_sources=0,
             )
 
     def test_unknown_mode_rejected(self):

@@ -36,7 +36,7 @@ class TestGrowthFit:
 
     def test_feasible_vs_infeasible_regimes_differ(self):
         """PKG's trajectory: sublinear below threshold, linear above."""
-        from repro.simulation import simulate_multisource_pkg
+        from repro.core.engine import simulate_multisource_pkg
 
         dist = ZipfKeyDistribution(1.0, 5000)  # p1 ~ 10.5%, threshold ~19
         keys = dist.sample(100_000, np.random.default_rng(0))

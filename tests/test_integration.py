@@ -12,12 +12,8 @@ from repro import (
 from repro.analysis import feasible_workers, imbalance_lower_bound_hot_key
 from repro.applications import DistributedWordCount, exact_top_k
 from repro.load import GlobalOracleEstimator, LocalLoadEstimator
-from repro.simulation import (
-    count_partial_states,
-    jaccard_overlap,
-    simulate_multisource_pkg,
-    simulate_stream,
-)
+from repro.core.engine import replay_stream, simulate_multisource_pkg
+from repro.core.metrics import count_partial_states, jaccard_overlap
 from repro.streams import get_dataset
 
 
@@ -30,7 +26,7 @@ class TestDatasetToPartitioner:
 
     def test_pkg_beats_hashing_orders_of_magnitude(self, wp_keys):
         pkg = simulate_multisource_pkg(wp_keys, num_workers=5, num_sources=5)
-        kg = simulate_stream(wp_keys, KeyGrouping(5))
+        kg = replay_stream(wp_keys, KeyGrouping(5))
         assert pkg.average_imbalance < kg.average_imbalance / 100
 
     def test_transition_at_feasibility_threshold(self, wp_keys):
@@ -123,7 +119,7 @@ class TestEndToEndWordCount:
             (PartialKeyGrouping(8), 2 * distinct),
             (ShuffleGrouping(8), 8 * distinct),
         ):
-            result = simulate_stream(keys, partitioner, keep_assignments=True)
+            result = replay_stream(keys, partitioner, keep_assignments=True)
             states = count_partial_states(keys, result.assignments)
             assert states <= bound
 
@@ -133,6 +129,6 @@ class TestDriftRobustness:
         """Q3: PKG stays balanced under popularity drift."""
         keys = get_dataset("CT").stream(100_000, seed=6)
         result = simulate_multisource_pkg(keys, num_workers=10, num_sources=5)
-        kg = simulate_stream(keys, KeyGrouping(10))
+        kg = replay_stream(keys, KeyGrouping(10))
         assert result.average_imbalance < kg.average_imbalance / 3
         assert result.average_imbalance_fraction < 0.01

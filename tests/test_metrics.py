@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation.metrics import (
+from repro.core.metrics import (
     agreement_fraction,
     average_imbalance,
     count_partial_states,
@@ -111,6 +111,8 @@ class TestPartialStates:
         keys = np.array([0, 1, 0, 2, 1])
         workers = np.array([3, 4, 3, 0, 4])  # consistent per key
         assert count_partial_states(keys, workers) == 3
+        # negative keys must not collide with other workers' keys
+        assert count_partial_states(np.array([-1, 0]), np.array([1, 0])) == 2
 
     def test_split_key_counts_twice(self):
         keys = np.array([7, 7, 7])

@@ -11,7 +11,7 @@ from repro.load import (
     WorkerLoadRegistry,
 )
 from repro.partitioning import KeyGrouping, PartialKeyGrouping
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -61,8 +61,8 @@ class TestKeySplitting:
 class TestLoadBalance:
     def test_beats_key_grouping_on_skew(self):
         keys = skewed_keys()
-        pkg = simulate_stream(keys, PartialKeyGrouping(10, seed=0))
-        kg = simulate_stream(keys, KeyGrouping(10, seed=0))
+        pkg = replay_stream(keys, PartialKeyGrouping(10, seed=0))
+        kg = replay_stream(keys, KeyGrouping(10, seed=0))
         assert pkg.average_imbalance < kg.average_imbalance / 5
 
     def test_near_perfect_in_feasible_regime(self):
@@ -70,7 +70,7 @@ class TestLoadBalance:
         keys = ZipfKeyDistribution(0.9, 10_000).sample(
             50_000, np.random.default_rng(1)
         )
-        result = simulate_stream(keys, PartialKeyGrouping(5, seed=0))
+        result = replay_stream(keys, PartialKeyGrouping(5, seed=0))
         assert result.final_imbalance_fraction < 1e-3
 
     def test_greedy_choice_follows_estimates(self):

@@ -11,7 +11,7 @@ from repro.partitioning import (
     PartialKeyGrouping,
     StaticPoTC,
 )
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -54,9 +54,9 @@ class TestStaticPoTC:
         # splitting has something to split (with colliding candidates
         # PKG and PoTC coincide on the hot key by construction).
         keys = skewed_keys()
-        potc = simulate_stream(keys, StaticPoTC(10, seed=1))
-        kg = simulate_stream(keys, KeyGrouping(10, seed=1))
-        pkg = simulate_stream(keys, PartialKeyGrouping(10, seed=1))
+        potc = replay_stream(keys, StaticPoTC(10, seed=1))
+        kg = replay_stream(keys, KeyGrouping(10, seed=1))
+        pkg = replay_stream(keys, PartialKeyGrouping(10, seed=1))
         assert potc.average_imbalance < kg.average_imbalance
         assert pkg.average_imbalance < potc.average_imbalance
 
@@ -82,8 +82,8 @@ class TestOnlineGreedy:
 
     def test_beats_potc_on_skew(self):
         keys = skewed_keys()
-        on = simulate_stream(keys, OnlineGreedy(10))
-        potc = simulate_stream(keys, StaticPoTC(10, seed=0))
+        on = replay_stream(keys, OnlineGreedy(10))
+        potc = replay_stream(keys, StaticPoTC(10, seed=0))
         assert on.average_imbalance <= potc.average_imbalance * 1.5
 
 
@@ -103,8 +103,8 @@ class TestOfflineGreedy:
     def test_from_stream_balances_final_loads(self):
         keys = skewed_keys()
         og = OfflineGreedy.from_stream(keys, 10)
-        result = simulate_stream(keys, og)
-        kg = simulate_stream(keys, KeyGrouping(10, seed=0))
+        result = replay_stream(keys, og)
+        kg = replay_stream(keys, KeyGrouping(10, seed=0))
         assert result.final_imbalance < kg.final_imbalance / 5
 
     def test_unknown_key_fallback(self):

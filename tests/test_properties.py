@@ -11,7 +11,7 @@ from repro.partitioning import (
     PartialKeyGrouping,
     ShuffleGrouping,
 )
-from repro.simulation.metrics import (
+from repro.core.metrics import (
     count_partial_states,
     imbalance,
     jaccard_overlap,

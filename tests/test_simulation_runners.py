@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.partitioning import KeyGrouping, PartialKeyGrouping, ShuffleGrouping
-from repro.simulation import (
+from repro.core.engine import (
     assign_sources,
+    replay_per_source,
+    replay_stream,
     simulate_multisource_pkg,
-    simulate_partitioner_per_source,
-    simulate_stream,
 )
 from repro.streams.distributions import ZipfKeyDistribution
 
@@ -22,7 +22,7 @@ def keys_(m=20_000, seed=0, exponent=1.0, num_keys=3000):
 class TestSimulateStream:
     def test_result_fields(self):
         keys = keys_(1000)
-        r = simulate_stream(keys, KeyGrouping(4))
+        r = replay_stream(keys, KeyGrouping(4))
         assert r.num_messages == 1000
         assert r.num_workers == 4
         assert r.num_sources == 1
@@ -31,33 +31,33 @@ class TestSimulateStream:
 
     def test_final_imbalance_consistent(self):
         keys = keys_(2000)
-        r = simulate_stream(keys, KeyGrouping(4))
+        r = replay_stream(keys, KeyGrouping(4))
         assert r.final_imbalance == pytest.approx(
             r.final_loads.max() - r.final_loads.mean()
         )
 
     def test_average_ge_zero(self):
-        r = simulate_stream(keys_(1000), ShuffleGrouping(3))
+        r = replay_stream(keys_(1000), ShuffleGrouping(3))
         assert r.average_imbalance >= 0.0
 
     def test_assignments_kept_on_request(self):
         keys = keys_(500)
-        r = simulate_stream(keys, KeyGrouping(4), keep_assignments=True)
+        r = replay_stream(keys, KeyGrouping(4), keep_assignments=True)
         assert r.assignments is not None
         assert np.array_equal(
             np.bincount(r.assignments, minlength=4), r.final_loads
         )
 
     def test_assignments_dropped_by_default(self):
-        assert simulate_stream(keys_(500), KeyGrouping(4)).assignments is None
+        assert replay_stream(keys_(500), KeyGrouping(4)).assignments is None
 
     def test_fraction_properties(self):
-        r = simulate_stream(keys_(1000), KeyGrouping(4))
+        r = replay_stream(keys_(1000), KeyGrouping(4))
         assert 0 <= r.average_imbalance_fraction <= 1
         assert 0 <= r.final_imbalance_fraction <= 1
 
     def test_summary_is_string(self):
-        assert "W=4" in simulate_stream(keys_(100), KeyGrouping(4)).summary()
+        assert "W=4" in replay_stream(keys_(100), KeyGrouping(4)).summary()
 
 
 class TestAssignSources:
@@ -107,7 +107,7 @@ class TestMultiSource:
     def test_local_beats_hashing(self):
         keys = keys_(30_000)
         local = simulate_multisource_pkg(keys, num_workers=8, num_sources=5)
-        kg = simulate_stream(keys, KeyGrouping(8))
+        kg = replay_stream(keys, KeyGrouping(8))
         assert local.average_imbalance < kg.average_imbalance / 3
 
     def test_local_within_order_of_global(self):
@@ -137,7 +137,7 @@ class TestMultiSource:
             mode="probing",
             probe_period=1000.0,
         )
-        kg = simulate_stream(keys, KeyGrouping(8))
+        kg = replay_stream(keys, KeyGrouping(8))
         assert r.average_imbalance < kg.average_imbalance
 
     def test_explicit_source_ids(self):
@@ -188,24 +188,24 @@ class TestMultiSource:
 class TestPerSourceRunner:
     def test_per_source_partitioners(self):
         keys = keys_(5000)
-        r = simulate_partitioner_per_source(
+        r = replay_per_source(
             keys,
-            make_partitioner=lambda s: ShuffleGrouping(4, offset=s),
-            num_workers=4,
+            lambda s: ShuffleGrouping(4, offset=s),
+            4,
             num_sources=3,
-        )
+        )[0]
         assert r.final_loads.sum() == 5000
         assert r.final_loads.max() - r.final_loads.min() <= 3
 
     def test_matches_multisource_for_local_pkg(self):
         keys = keys_(5000)
-        a = simulate_partitioner_per_source(
+        a = replay_per_source(
             keys,
-            make_partitioner=lambda s: PartialKeyGrouping(6, seed=1),
-            num_workers=6,
+            lambda s: PartialKeyGrouping(6, seed=1),
+            6,
             num_sources=3,
             keep_assignments=True,
-        )
+        )[0]
         b = simulate_multisource_pkg(
             keys,
             num_workers=6,
@@ -215,3 +215,7 @@ class TestPerSourceRunner:
             keep_assignments=True,
         )
         assert np.array_equal(a.assignments, b.assignments)
+        assert (a.scheme, a.num_sources) == ("PKG", 3)
+        assert (b.scheme, b.num_sources) == ("L3", 3)
+        single = replay_stream(keys, PartialKeyGrouping(6, seed=1))
+        assert (single.scheme, single.num_sources) == ("PKG", 1)
