@@ -54,7 +54,7 @@ from repro.streams import (
     get_dataset,
 )
 
-# The unified public API (kept last: repro.api pulls in the dspe layer
+# The unified public API (kept last: repro.api pulls in the cluster simulator
 # and the core replay engine, which build on everything above).
 from repro.api import (
     RunResult,

@@ -78,7 +78,7 @@ from repro.api.registry import (
 
 #: attribute -> defining module, resolved lazily (PEP 562) so that the
 #: partitioner modules can import ``repro.api.registry`` during their own
-#: definition without dragging the dspe/simulation stack into the cycle.
+#: definition without dragging the cluster and replay stack into the cycle.
 _LAZY_EXPORTS: Dict[str, str] = {
     "Topology": "repro.api.topology",
     "TopologyError": "repro.api.topology",

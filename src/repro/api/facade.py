@@ -24,7 +24,7 @@ from repro.api.registry import make_partitioner
 if TYPE_CHECKING:
     from repro.api.topology import Topology
     from repro.core.engine import ReplayResult
-    from repro.dspe.metrics import RunMetrics
+    from repro.queueing.cluster import RunMetrics
     from repro.partitioning.base import Partitioner
     from repro.streams.distributions import KeyDistribution
 
@@ -101,7 +101,7 @@ class RunResult:
 
     @classmethod
     def from_metrics(cls, metrics: "RunMetrics", num_sources: int = 1) -> "RunResult":
-        """Wrap a DSPE :class:`~repro.dspe.metrics.RunMetrics`.
+        """Wrap a DSPE :class:`~repro.queueing.cluster.RunMetrics`.
 
         The cluster simulator reports final loads only, so
         ``average_imbalance`` and ``final_imbalance`` are both the

@@ -1,7 +1,7 @@
 """Fluent topology builder for the simulated DSPE cluster.
 
 Generalises the hard-coded word-count cluster of
-:mod:`repro.dspe.topology`: arbitrary source/worker/aggregator
+:mod:`repro.queueing.cluster`: arbitrary source/worker/aggregator
 configurations -- including stragglers and heterogeneous workers -- are
 expressed by chaining, without editing dataclasses::
 
@@ -17,8 +17,10 @@ expressed by chaining, without editing dataclasses::
     result = topo.run()          # or: repro.api.run(topo)
 
 Every setter validates its own arguments eagerly and raises
-:class:`TopologyError`; cross-field constraints (straggler index vs
-worker count, duration vs warmup, ...) are checked at :meth:`build`.
+:class:`TopologyError`.  Cross-field constraints (straggler index vs
+worker count, duration vs warmup, pending window vs spouts) are
+:class:`~repro.queueing.cluster.ClusterConfig`'s; :meth:`build`
+re-raises its errors as :class:`TopologyError`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.api.registry import make_partitioner, resolve_scheme_name
 
 if TYPE_CHECKING:
     from repro.api.facade import RunResult
-    from repro.dspe.topology import ClusterConfig, WordCountCluster
+    from repro.queueing.cluster import ClusterConfig, WordCountCluster
     from repro.partitioning.base import Partitioner
     from repro.streams.distributions import KeyDistribution
 
@@ -69,13 +71,10 @@ class Topology:
         self._straggler_worker = -1
         self._straggler_factor = 1.0
         self._aggregation_period = 0.0
-        self._flush_entry_cost: Optional[float] = None
-        self._aggregator_entry_cost: Optional[float] = None
         self._duration = 20.0
         self._warmup = 4.0
-        self._emit_cost: Optional[float] = None
-        self._network_delay: Optional[float] = None
-        self._max_pending: Optional[int] = None
+        #: ClusterConfig fields set explicitly; the rest keep its defaults
+        self._overrides: Dict[str, Any] = {}
         self._seed = 0
 
     # ---------------------------------------------------------- sources
@@ -173,10 +172,7 @@ class Topology:
     # ------------------------------------------------------ aggregation
 
     def aggregate(
-        self,
-        every: float,
-        flush_entry_cost: Optional[float] = None,
-        aggregator_entry_cost: Optional[float] = None,
+        self, every: float, flush_entry_cost: Optional[float] = None
     ) -> "Topology":
         """Enable the aggregation stage, flushing every ``every`` seconds.
 
@@ -188,11 +184,7 @@ class Topology:
         if flush_entry_cost is not None:
             if flush_entry_cost < 0:
                 raise TopologyError("flush_entry_cost must be >= 0")
-            self._flush_entry_cost = float(flush_entry_cost)
-        if aggregator_entry_cost is not None:
-            if aggregator_entry_cost < 0:
-                raise TopologyError("aggregator_entry_cost must be >= 0")
-            self._aggregator_entry_cost = float(aggregator_entry_cost)
+            self._overrides["flush_entry_cost"] = float(flush_entry_cost)
         return self
 
     # ----------------------------------------------------------- timing
@@ -221,15 +213,15 @@ class Topology:
         if delay is not None:
             if delay < 0:
                 raise TopologyError(f"network delay must be >= 0, got {delay}")
-            self._network_delay = float(delay)
+            self._overrides["network_delay"] = float(delay)
         if emit_cost is not None:
-            if emit_cost < 0:
-                raise TopologyError(f"emit_cost must be >= 0, got {emit_cost}")
-            self._emit_cost = float(emit_cost)
+            if emit_cost <= 0:
+                raise TopologyError(f"emit_cost must be positive, got {emit_cost}")
+            self._overrides["emit_cost"] = float(emit_cost)
         if max_pending is not None:
             if max_pending < 1:
                 raise TopologyError(f"max_pending must be >= 1, got {max_pending}")
-            self._max_pending = int(max_pending)
+            self._overrides["max_pending"] = int(max_pending)
         return self
 
     def seed(self, seed: int) -> "Topology":
@@ -240,41 +232,24 @@ class Topology:
     # ------------------------------------------------------------ build
 
     def to_config(self) -> "ClusterConfig":
-        """The :class:`~repro.dspe.topology.ClusterConfig` this builds."""
-        from repro.dspe.topology import ClusterConfig
+        """The :class:`~repro.queueing.cluster.ClusterConfig` this builds."""
+        from repro.queueing.cluster import ClusterConfig
 
-        if self._straggler_worker >= self._num_workers:
-            raise TopologyError(
-                f"straggler worker {self._straggler_worker} out of range "
-                f"for {self._num_workers} workers"
+        try:
+            return ClusterConfig(
+                num_workers=self._num_workers,
+                cpu_delay=self._cpu_delay,
+                duration=self._duration,
+                warmup=self._warmup,
+                aggregation_period=self._aggregation_period,
+                num_spouts=self._num_spouts,
+                straggler_worker=self._straggler_worker,
+                straggler_factor=self._straggler_factor,
+                seed=self._seed,
+                **self._overrides,
             )
-        if self._duration <= self._warmup:
-            raise TopologyError(
-                f"duration ({self._duration}s) must exceed warmup "
-                f"({self._warmup}s)"
-            )
-        kwargs: Dict[str, Any] = dict(
-            num_workers=self._num_workers,
-            cpu_delay=self._cpu_delay,
-            duration=self._duration,
-            warmup=self._warmup,
-            aggregation_period=self._aggregation_period,
-            num_spouts=self._num_spouts,
-            straggler_worker=self._straggler_worker,
-            straggler_factor=self._straggler_factor,
-            seed=self._seed,
-        )
-        if self._flush_entry_cost is not None:
-            kwargs["flush_entry_cost"] = self._flush_entry_cost
-        if self._aggregator_entry_cost is not None:
-            kwargs["aggregator_entry_cost"] = self._aggregator_entry_cost
-        if self._network_delay is not None:
-            kwargs["network_delay"] = self._network_delay
-        if self._emit_cost is not None:
-            kwargs["emit_cost"] = self._emit_cost
-        if self._max_pending is not None:
-            kwargs["max_pending"] = self._max_pending
-        return ClusterConfig(**kwargs)
+        except ValueError as err:  # a cross-field constraint
+            raise TopologyError(str(err)) from err
 
     def _resolve_source(
         self, distribution: Optional[_SourceArg] = None
@@ -294,7 +269,7 @@ class Topology:
         self, distribution: Optional[_SourceArg] = None
     ) -> "WordCountCluster":
         """Materialise a runnable :class:`WordCountCluster`."""
-        from repro.dspe.topology import WordCountCluster
+        from repro.queueing.cluster import WordCountCluster
 
         config = self.to_config()
         if self._partitioner is not None and self._num_spouts > 1:

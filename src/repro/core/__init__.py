@@ -2,8 +2,8 @@
 
 Every replay path of this reproduction -- the single- and multi-source
 frequency simulations of the paper's Section V (Q1-Q3) and the
-discrete-event DSPE cluster (:mod:`repro.dspe`) -- executes through
-this package:
+discrete-event word-count cluster (:mod:`repro.queueing.cluster`) --
+executes through this package:
 
 * :mod:`repro.core.chunks` -- stream chunking and key encoding
   (non-integer keys are factorised to int64 ids so hashing is paid
@@ -15,7 +15,7 @@ this package:
 * :mod:`repro.core.engine` -- the chunked replay engine, its one
   :class:`~repro.core.engine.ReplayResult`, the multi-source PKG
   entry point :func:`~repro.core.engine.simulate_multisource_pkg`
-  (and the discrete-event loop the DSPE cluster runs on);
+  (and the discrete-event loop :mod:`repro.queueing` runs on);
 * :mod:`repro.core.parallel` -- the deterministic multi-process sweep
   executor (order-preserving :func:`~repro.core.parallel.parallel_map`
   plus the shared-memory materialized stream cache) that experiment

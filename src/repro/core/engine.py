@@ -11,8 +11,9 @@ paper's Section V simulations (Q1-Q3):
   matrix, with :func:`simulate_multisource_pkg` building that matrix
   for PKG and :func:`assign_sources` splitting the stream over the
   sources;
-* :class:`EventLoop` -- the deterministic event heap the DSPE cluster
-  (:mod:`repro.dspe`) schedules on.
+* :class:`EventLoop` -- the deterministic event heap both worker-queue
+  simulators of :mod:`repro.queueing` (the open/closed-loop queues and
+  the fig5 word-count cluster) schedule on.
 
 Every replay returns one :class:`ReplayResult`: the true worker loads
 and the checkpoint imbalance series ``I(t) = max_i Li(t) - avg_i Li(t)``.
@@ -683,7 +684,7 @@ def simulate_multisource_pkg(
 
 
 # ---------------------------------------------------------------------------
-# The discrete-event loop (the DSPE cluster's clock)
+# The discrete-event loop (the worker-queue simulators' clock)
 # ---------------------------------------------------------------------------
 
 class EventLoop:
@@ -691,8 +692,10 @@ class EventLoop:
 
     Events are (time, sequence, callback) triples in a binary heap;
     ties in time break by scheduling order, so runs are exactly
-    reproducible.  This is the execution core of the DSPE cluster
-    simulation; :class:`repro.dspe.engine.Simulator` is its adapter.
+    reproducible.  It is the one clock of :mod:`repro.queueing`: the
+    open- and closed-loop queue simulators and the word-count cluster
+    (:func:`repro.queueing.cluster.simulate_wordcount`) all schedule
+    closures on it.
     """
 
     def __init__(self) -> None:

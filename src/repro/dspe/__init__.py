@@ -1,43 +1,10 @@
-"""A Storm-like distributed stream processing engine, simulated.
+"""The word-count cluster's former home, kept as a re-export.
 
-The paper's Q4 experiments run streaming top-k word count on a real
-Storm cluster (one spout + 9 counter PEIs + optional aggregator on 10
-VMs).  This package substitutes that testbed with a discrete-event
-simulation faithful to the mechanisms that produce Figure 5's
-phenomena:
-
-* a **spout** emitting keys with a per-tuple emit cost, throttled by a
-  max-pending window (Storm's ``topology.max.spout.pending`` acking
-  behaviour);
-* **worker** (counter) executors with a configurable per-key CPU delay,
-  FIFO input queues, and periodic flushing of partial counters;
-* an **aggregator** executor that absorbs flushed partials;
-* network hop latency between executors;
-* metrics: throughput (keys/s), end-to-end tuple latency, and live
-  counter memory.
-
-Load imbalance turns into longer queues at hot workers, which inflates
-tuple round-trip time and throttles the spout -- exactly why KG loses
-throughput and latency to PKG/SG in the paper.
+The simulated cluster of the paper's Q4 lives in
+:mod:`repro.queueing.cluster`; these names stay importable here for
+callers that still use the old path.
 """
 
-from repro.dspe.engine import Simulator
-from repro.dspe.executors import (
-    AggregatorExecutor,
-    SpoutExecutor,
-    WorkerExecutor,
-)
-from repro.dspe.metrics import LatencyStats, RunMetrics
-from repro.dspe.topology import ClusterConfig, WordCountCluster, run_wordcount
+from repro.queueing.cluster import ClusterConfig, WordCountCluster, run_wordcount
 
-__all__ = [
-    "Simulator",
-    "SpoutExecutor",
-    "WorkerExecutor",
-    "AggregatorExecutor",
-    "LatencyStats",
-    "RunMetrics",
-    "ClusterConfig",
-    "WordCountCluster",
-    "run_wordcount",
-]
+__all__ = ["ClusterConfig", "WordCountCluster", "run_wordcount"]

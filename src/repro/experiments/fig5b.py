@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.parallel import parallel_map
-from repro.dspe import ClusterConfig, run_wordcount
+from repro.queueing.cluster import ClusterConfig, run_wordcount
 from repro.experiments.config import ExperimentConfig, format_table
 from repro.streams.datasets import get_dataset
 

@@ -1,9 +1,10 @@
-"""``repro.queueing``: the queueing-aware tail-latency evaluation layer.
+"""``repro.queueing``: the repo's worker-queue simulators.
 
 Everything else in the repo measures load-*count* imbalance; a
 production operator asks what a partitioning scheme buys in **p99
-latency at 80% utilization**.  This package answers that question on
-top of the deterministic :class:`~repro.core.engine.EventLoop`:
+latency at 80% utilization**, and the paper's Q4 asks what it buys in
+cluster throughput.  This package answers both on top of the
+deterministic :class:`~repro.core.engine.EventLoop`:
 
 * :mod:`~repro.queueing.arrivals` -- seeded arrival processes
   (Poisson, deterministic, trace replay) and the closed-loop
@@ -16,7 +17,10 @@ top of the deterministic :class:`~repro.core.engine.EventLoop`:
   driven by any registered partitioner, plus the shared-queue M/G/c
   station used for validation;
 * :mod:`~repro.queueing.analytic` -- the M/M/1 / Pollaczek-Khinchine /
-  Erlang-C closed forms the simulator is tested against.
+  Erlang-C closed forms the simulator is tested against;
+* :mod:`~repro.queueing.cluster` -- the Storm-like word-count cluster
+  of Figure 5: spouts behind a max-pending window, FIFO counter
+  workers, periodic flushes to an aggregator.
 
 ``python -m repro.queueing`` runs the latency-vs-offered-load sweep
 from the command line; ``repro.experiments.latency`` wires the same

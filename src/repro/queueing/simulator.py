@@ -161,6 +161,70 @@ def _warmup_count(warmup_fraction: float, num_messages: int) -> int:
     return int(warmup_fraction * num_messages)
 
 
+class _Stations:
+    """W single-server FIFO worker queues on one event loop.
+
+    The worker side shared by the open- and closed-loop simulators.
+    :attr:`admit` queues message ``index`` at a worker and starts it if
+    the worker is idle.  Each departure records the post-warmup sojourn
+    and waiting time, notifies the partitioner's ``on_complete`` hook if
+    it has one, starts the next queued message, and finally runs
+    ``after_departure``.
+    """
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        partitioner: "Partitioner",
+        arrival_times: List[float],
+        service_times: List[float],
+        warmup: int,
+        after_departure: Optional[Callable[[], None]] = None,
+    ) -> None:
+        num_workers = partitioner.num_workers
+        on_complete = cast(
+            Optional[CompletionHook], getattr(partitioner, "on_complete", None)
+        )
+        self.on_complete = on_complete
+        queues: List[Deque[int]] = [deque() for _ in range(num_workers)]
+        busy = [False] * num_workers
+        busy_time = np.zeros(num_workers, dtype=np.float64)
+        buffers: List[List[float]] = [[] for _ in range(num_workers)]
+        waiting_buffers: List[List[float]] = [[] for _ in range(num_workers)]
+        self.queues, self.busy, self.busy_time = queues, busy, busy_time
+        self.buffers, self.waiting_buffers = buffers, waiting_buffers
+        self.completed = 0
+
+        def start_service(worker: int) -> None:
+            index = queues[worker].popleft()
+            busy[worker] = True
+            duration = service_times[index]
+            busy_time[worker] += duration
+            loop.schedule(duration, lambda: depart(worker, index))
+
+        def depart(worker: int, index: int) -> None:
+            self.completed += 1
+            if index >= warmup:
+                sojourn = loop.now - arrival_times[index]
+                buffers[worker].append(sojourn)
+                waiting_buffers[worker].append(sojourn - service_times[index])
+            if on_complete is not None:
+                on_complete(worker, loop.now)
+            if queues[worker]:
+                start_service(worker)
+            else:
+                busy[worker] = False
+            if after_departure is not None:
+                after_departure()
+
+        def admit(worker: int, index: int) -> None:
+            queues[worker].append(index)
+            if not busy[worker]:
+                start_service(worker)
+
+        self.admit = admit
+
+
 def simulate_queueing(
     keys: KeyStream,
     partitioner: "Partitioner",
@@ -192,38 +256,10 @@ def simulate_queueing(
     service_times = service.sample(n, rng).tolist()
 
     loop = EventLoop()
-    queues: List[Deque[int]] = [deque() for _ in range(num_workers)]
-    busy = [False] * num_workers
-    busy_time = np.zeros(num_workers, dtype=np.float64)
+    stations = _Stations(loop, partitioner, arrival_times, service_times, warmup)
+    queues, busy, on_complete = stations.queues, stations.busy, stations.on_complete
     dropped_per_worker = np.zeros(num_workers, dtype=np.int64)
-    buffers: List[List[float]] = [[] for _ in range(num_workers)]
-    waiting_buffers: List[List[float]] = [[] for _ in range(num_workers)]
-    completed = 0
     dropped = 0
-    on_complete = cast(
-        Optional[CompletionHook], getattr(partitioner, "on_complete", None)
-    )
-
-    def start_service(worker: int) -> None:
-        index = queues[worker].popleft()
-        busy[worker] = True
-        duration = service_times[index]
-        busy_time[worker] += duration
-        loop.schedule(duration, lambda: depart(worker, index))
-
-    def depart(worker: int, index: int) -> None:
-        nonlocal completed
-        completed += 1
-        if index >= warmup:
-            sojourn = loop.now - arrival_times[index]
-            buffers[worker].append(sojourn)
-            waiting_buffers[worker].append(sojourn - service_times[index])
-        if on_complete is not None:
-            on_complete(worker, loop.now)
-        if queues[worker]:
-            start_service(worker)
-        else:
-            busy[worker] = False
 
     def arrive(index: int) -> None:
         nonlocal dropped
@@ -241,9 +277,7 @@ def simulate_queueing(
             if on_complete is not None:
                 on_complete(worker, loop.now)
             return
-        queues[worker].append(index)
-        if not busy[worker]:
-            start_service(worker)
+        stations.admit(worker, index)
 
     if n:
         loop.schedule_at(arrival_times[0], lambda: arrive(0))
@@ -252,12 +286,12 @@ def simulate_queueing(
     return _result(
         num_workers,
         n,
-        completed,
+        stations.completed,
         dropped,
         loop.now if n else 0.0,
-        buffers,
-        waiting_buffers,
-        busy_time,
+        stations.buffers,
+        stations.waiting_buffers,
+        stations.busy_time,
         dropped_per_worker,
         warmup,
         relative_error,
@@ -304,45 +338,11 @@ def simulate_closed_loop(
     arrival_times = [0.0] * n
 
     loop = EventLoop()
-    queues: List[Deque[int]] = [deque() for _ in range(num_workers)]
-    busy = [False] * num_workers
-    busy_time = np.zeros(num_workers, dtype=np.float64)
-    buffers: List[List[float]] = [[] for _ in range(num_workers)]
-    waiting_buffers: List[List[float]] = [[] for _ in range(num_workers)]
-    completed = 0
     next_index = 0
-    on_complete = cast(
-        Optional[CompletionHook], getattr(partitioner, "on_complete", None)
-    )
-
-    def start_service(worker: int) -> None:
-        index = queues[worker].popleft()
-        busy[worker] = True
-        duration = service_times[index]
-        busy_time[worker] += duration
-        loop.schedule(duration, lambda: depart(worker, index))
-
-    def depart(worker: int, index: int) -> None:
-        nonlocal completed
-        completed += 1
-        if index >= warmup:
-            sojourn = loop.now - arrival_times[index]
-            buffers[worker].append(sojourn)
-            waiting_buffers[worker].append(sojourn - service_times[index])
-        if on_complete is not None:
-            on_complete(worker, loop.now)
-        if queues[worker]:
-            start_service(worker)
-        else:
-            busy[worker] = False
-        begin_think()  # the responded-to client starts its next cycle
 
     def submit(index: int) -> None:
         arrival_times[index] = loop.now
-        worker = int(partitioner.route(key_array[index], loop.now))
-        queues[worker].append(index)
-        if not busy[worker]:
-            start_service(worker)
+        stations.admit(int(partitioner.route(key_array[index], loop.now)), index)
 
     def begin_think() -> None:
         # Reserve the next message at think *start*; a retiring client
@@ -354,6 +354,15 @@ def simulate_closed_loop(
         next_index += 1
         loop.schedule(think_times[index], lambda: submit(index))
 
+    # The responded-to client starts its next cycle at each departure.
+    stations = _Stations(
+        loop,
+        partitioner,
+        arrival_times,
+        service_times,
+        warmup,
+        after_departure=begin_think,
+    )
     for _ in range(min(population, n)):
         begin_think()
     loop.run()
@@ -361,12 +370,12 @@ def simulate_closed_loop(
     return _result(
         num_workers,
         n,
-        completed,
+        stations.completed,
         0,
         loop.now if n else 0.0,
-        buffers,
-        waiting_buffers,
-        busy_time,
+        stations.buffers,
+        stations.waiting_buffers,
+        stations.busy_time,
         np.zeros(num_workers, dtype=np.int64),
         warmup,
         relative_error,

@@ -122,7 +122,7 @@ class TestArgumentValidation:
 
 class TestBackwardCompat:
     def test_run_wordcount_accepts_spec_strings(self):
-        from repro.dspe import ClusterConfig, run_wordcount
+        from repro.queueing.cluster import ClusterConfig, run_wordcount
 
         metrics = run_wordcount(
             "pkg:d=3",

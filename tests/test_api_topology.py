@@ -79,6 +79,8 @@ class TestValidation:
             Topology().network(max_pending=0)
         with pytest.raises(TopologyError):
             Topology().network(delay=-1.0)
+        with pytest.raises(TopologyError):
+            Topology().network(emit_cost=0.0)
 
     def test_pinned_instance_worker_mismatch(self):
         topo = tiny().partition_by(PartialKeyGrouping(5)).workers(9)
@@ -118,7 +120,7 @@ class TestBuild:
     def test_heterogeneous_delays_reach_workers(self):
         delays = [0.1e-3, 0.2e-3, 0.4e-3]
         cluster = tiny().workers(delays=delays).build()
-        assert [w.cpu_delay for w in cluster.workers] == delays
+        assert cluster.cpu_delays == delays
 
     def test_spec_string_configures_partitioner(self):
         cluster = tiny("pkg:d=3").build()
@@ -131,8 +133,7 @@ class TestBuild:
 
     def test_each_spout_gets_its_own_partitioner(self):
         cluster = tiny().spouts(3).build()
-        partitioners = [s.partitioner for s in cluster.spouts]
-        assert len({id(p) for p in partitioners}) == 3
+        assert len({id(p) for p in cluster.partitioners}) == 3
 
 
 class TestRun:

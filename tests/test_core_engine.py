@@ -218,11 +218,6 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             loop.schedule_at(1.0, lambda: None)
 
-    def test_dspe_simulator_is_event_loop_adapter(self):
-        from repro.dspe.engine import Simulator
-
-        assert issubclass(Simulator, EventLoop)
-
     def test_max_events_zero_processes_nothing(self):
         loop = EventLoop()
         fired = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dspe import ClusterConfig, WordCountCluster, run_wordcount
+from repro.queueing.cluster import ClusterConfig, WordCountCluster, run_wordcount
 from repro.partitioning import PartialKeyGrouping
 from repro.streams.distributions import ZipfKeyDistribution
 
@@ -27,6 +27,22 @@ class TestClusterBasics:
             ClusterConfig(duration=1.0, warmup=2.0)
         with pytest.raises(ValueError):
             ClusterConfig(num_workers=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(network_delay=-1e-3),
+            dict(flush_entry_cost=-1e-6),
+            dict(aggregation_period=-1.0),
+            dict(max_pending=0),
+            # a per-spout window of max_pending // num_spouts = 0
+            dict(max_pending=3, num_spouts=4),
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_rejected_values(self, bad):
+        with pytest.raises(ValueError):
+            ClusterConfig(**bad)
 
     def test_metrics_fields(self):
         m = run_wordcount("pkg", dist(), short_config())
@@ -123,10 +139,10 @@ class TestFig5bShape:
             duration=6.0, warmup=1.0, aggregation_period=1.0, cpu_delay=0.2e-3
         )
         cluster = WordCountCluster("pkg", dist(), cfg)
-        cluster.run()
-        aggregated = sum(cluster.aggregator.totals.values())
-        processed = sum(w.processed for w in cluster.workers)
-        live_counts = sum(sum(w.counts.values()) for w in cluster.workers)
+        metrics = cluster.run()
+        aggregated = sum(cluster.state.totals.values())
+        processed = sum(metrics.worker_loads)
+        live_counts = sum(sum(c.values()) for c in cluster.state.counts)
         # Counts are conserved up to flush batches still in flight when
         # the simulation horizon cuts off.
         assert aggregated + live_counts <= processed

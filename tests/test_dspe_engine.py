@@ -1,16 +1,20 @@
-"""Tests for the discrete-event simulation core and executors."""
+"""Tests for the event-loop clock and the word-count cluster's mechanics.
+
+``TestSimulator`` pins the :class:`EventLoop` behaviour the cluster
+relies on; ``TestExecutors`` checks the spout, worker and aggregator
+mechanics through the cluster API on hand-sized configurations.
+"""
 
 import pytest
 
-from repro.dspe import Simulator
-from repro.dspe.executors import AggregatorExecutor, SpoutExecutor, Tuple_, WorkerExecutor
-from repro.dspe.metrics import LatencyStats
-from repro.partitioning import ShuffleGrouping
+from repro.core.engine import EventLoop
+from repro.queueing.cluster import ClusterConfig, LatencyStats, WordCountCluster
+from repro.streams.distributions import UniformKeyDistribution
 
 
 class TestSimulator:
     def test_events_run_in_time_order(self):
-        sim = Simulator()
+        sim = EventLoop()
         order = []
         sim.schedule(2.0, lambda: order.append("b"))
         sim.schedule(1.0, lambda: order.append("a"))
@@ -19,7 +23,7 @@ class TestSimulator:
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
-        sim = Simulator()
+        sim = EventLoop()
         order = []
         sim.schedule(1.0, lambda: order.append(1))
         sim.schedule(1.0, lambda: order.append(2))
@@ -27,12 +31,12 @@ class TestSimulator:
         assert order == [1, 2]
 
     def test_clock_advances_to_end(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.run_until(7.5)
         assert sim.now == 7.5
 
     def test_events_beyond_horizon_not_run(self):
-        sim = Simulator()
+        sim = EventLoop()
         ran = []
         sim.schedule(5.0, lambda: ran.append(1))
         sim.run_until(4.0)
@@ -41,7 +45,7 @@ class TestSimulator:
         assert ran
 
     def test_cascading_events(self):
-        sim = Simulator()
+        sim = EventLoop()
         hits = []
 
         def recurse():
@@ -54,7 +58,7 @@ class TestSimulator:
         assert hits == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_cannot_schedule_in_past(self):
-        sim = Simulator()
+        sim = EventLoop()
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
         sim.run_until(5.0)
@@ -62,7 +66,7 @@ class TestSimulator:
             sim.schedule_at(1.0, lambda: None)
 
     def test_max_events(self):
-        sim = Simulator()
+        sim = EventLoop()
         for i in range(10):
             sim.schedule(float(i), lambda: None)
         processed = sim.run_until(100.0, max_events=3)
@@ -70,7 +74,7 @@ class TestSimulator:
         assert sim.pending_events == 7
 
     def test_event_counter(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.schedule(1.0, lambda: None)
         sim.run_until(2.0)
         assert sim.total_events_processed == 1
@@ -102,126 +106,87 @@ class TestLatencyStats:
         assert ls.count == 10_000
 
 
+def one_worker(scheme="sg", keys=1, **overrides):
+    """A one-worker cluster on ``keys`` uniform keys, zero hop delay."""
+    config = dict(
+        num_workers=1,
+        cpu_delay=0.01,
+        emit_cost=0.001,
+        network_delay=0.0,
+        max_pending=3,
+        duration=1.0,
+        warmup=0.0,
+    )
+    config.update(overrides)
+    return WordCountCluster(scheme, UniformKeyDistribution(keys), ClusterConfig(**config))
+
+
 class TestExecutors:
     def test_spout_respects_max_pending(self):
-        sim = Simulator()
-        latency = LatencyStats()
-        worker = WorkerExecutor(
-            sim,
-            spout=None,
-            cpu_delay=1.0,  # very slow: acks never arrive in time
-            network_delay=0.01,
-            latency=latency,
-            warmup=0.0,
-        )
-        spout = SpoutExecutor(
-            sim,
-            key_source=lambda: 1,
-            partitioner=ShuffleGrouping(1),
-            workers=[worker],
-            emit_cost=0.001,
-            network_delay=0.01,
-            max_pending=3,
-        )
-        worker.spout = spout
-        spout.start()
-        sim.run_until(0.5)
-        assert spout.in_flight <= 3
-        assert spout.emitted <= 3
+        # A worker slower than the run: no ack ever returns, so the
+        # spout fills its window and stops.
+        cluster = one_worker(cpu_delay=1.0, network_delay=0.01, duration=0.5)
+        metrics = cluster.run()
+        assert cluster.state.emitted == [3]
+        assert cluster.state.in_flight == [3]
+        assert metrics.worker_loads == [0]
 
     def test_worker_processes_fifo_and_acks(self):
-        sim = Simulator()
-        latency = LatencyStats()
-        worker = WorkerExecutor(
-            sim,
-            spout=None,
-            cpu_delay=0.01,
-            network_delay=0.0,
-            latency=latency,
-            warmup=0.0,
-        )
-        acks = []
-
-        class FakeSpout:
-            def on_ack(self):
-                acks.append(sim.now)
-
-        worker.spout = FakeSpout()
-        worker.enqueue(Tuple_("k", 0.0))
-        worker.enqueue(Tuple_("k", 0.0))
-        sim.run_until(1.0)
-        assert worker.processed == 2
-        assert len(acks) == 2
-        assert worker.counts["k"] == 2
+        cluster = one_worker()
+        metrics = cluster.run()
+        state = cluster.state
+        processed = metrics.worker_loads[0]
+        assert processed > 50
+        # Every processed tuple was acked back (zero hop delay).
+        assert state.emitted[0] - state.in_flight[0] == processed
+        assert state.counts[0] == {0: processed}
+        # FIFO in a closed window of 3: a tuple emitted when an ack
+        # frees a slot finds one tuple in service since that ack and one
+        # waiting, so it completes 3 services after the ack, i.e. after
+        # 3 * cpu_delay - emit_cost.  A LIFO worker would serve it next
+        # and starve an older tuple instead.
+        assert metrics.latency.percentile(50) == pytest.approx(3 * 0.01 - 0.001)
+        assert metrics.latency.max == pytest.approx(3 * 0.01 - 0.001)
 
     def test_latency_only_after_warmup(self):
-        sim = Simulator()
-        latency = LatencyStats()
-        worker = WorkerExecutor(
-            sim,
-            spout=None,
-            cpu_delay=0.01,
-            network_delay=0.0,
-            latency=latency,
-            warmup=100.0,
-        )
-
-        class FakeSpout:
-            def on_ack(self):
-                pass
-
-        worker.spout = FakeSpout()
-        worker.enqueue(Tuple_("k", 0.0))
-        sim.run_until(1.0)
-        assert latency.count == 0
-        assert worker.completed_after_warmup == 0
+        full = one_worker().run()
+        late = one_worker(warmup=0.5).run()
+        # Warmup only gates measurement, never the simulation itself.
+        assert late.worker_loads == full.worker_loads
+        assert late.emitted == full.emitted
+        assert 0 < late.completed < full.completed
+        assert late.latency.count == late.completed
+        assert full.latency.count == full.completed == sum(full.worker_loads)
 
     def test_aggregator_merges_partials(self):
-        sim = Simulator()
-        agg = AggregatorExecutor(sim, entry_cost=0.0)
-        agg.receive({"a": 2, "b": 1})
-        agg.receive({"a": 3})
-        assert agg.totals == {"a": 5, "b": 1}
-        assert agg.received_entries == 3
-        assert agg.top_k(1) == [("a", 5)]
+        cluster = one_worker(
+            num_workers=3, keys=5, aggregation_period=0.1, flush_entry_cost=0.0
+        )
+        metrics = cluster.run()
+        state = cluster.state
+        # Zero flush cost and hop delay: nothing is in transit at the
+        # horizon, so aggregated + live counts are exactly the
+        # processed tuples, merged over many flushes from every worker.
+        live = sum(sum(c.values()) for c in state.counts)
+        assert sum(state.totals.values()) + live == sum(metrics.worker_loads)
+        assert set(state.totals) <= set(range(5))
+        assert metrics.aggregation_messages > 3 * 5
 
     def test_worker_flush_ships_partials(self):
-        sim = Simulator()
-        latency = LatencyStats()
-        agg = AggregatorExecutor(sim)
-        worker = WorkerExecutor(
-            sim,
-            spout=None,
-            cpu_delay=0.01,
-            network_delay=0.0,
-            latency=latency,
-            warmup=0.0,
-            aggregator=agg,
-            flush_period=0.5,
-            flush_entry_cost=0.001,
-        )
-
-        class FakeSpout:
-            def on_ack(self):
-                pass
-
-        worker.spout = FakeSpout()
-        for _ in range(3):
-            worker.enqueue(Tuple_("w", 0.0))
-        sim.run_until(2.0)
-        assert agg.totals.get("w") == 3
-        assert worker.memory_counters() == 0  # flushed
-        assert worker.flushed_entries == 1
+        # Flushes at 0.5, 1.0, 1.5 and 2.0 s each ship the one live
+        # counter and clear it; the run ends before the next.
+        cluster = one_worker(aggregation_period=0.5, duration=2.2)
+        metrics = cluster.run()
+        state = cluster.state
+        assert metrics.aggregation_messages == 4
+        live = state.counts[0].get(0, 0)
+        assert state.totals[0] + live == metrics.worker_loads[0]
+        # Only tuples finished since the last flush are still live.
+        assert 0 < live <= 0.2 / 0.01 + 1
 
     def test_invalid_executor_args(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            SpoutExecutor(
-                sim, lambda: 1, ShuffleGrouping(1), [], emit_cost=0.0,
-                network_delay=0.0, max_pending=1,
-            )
-        with pytest.raises(ValueError):
-            WorkerExecutor(
-                sim, None, cpu_delay=0.0, network_delay=0.0,
-                latency=LatencyStats(), warmup=0.0,
-            )
+        with pytest.raises(ValueError, match="emit_cost"):
+            ClusterConfig(emit_cost=0.0)
+        with pytest.raises(ValueError, match="cpu_delay"):
+            ClusterConfig(cpu_delay=0.0)
+

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dspe import ClusterConfig, run_wordcount
+from repro.queueing.cluster import ClusterConfig, WordCountCluster, run_wordcount
 from repro.partitioning import PartialKeyGrouping
 from repro.streams.distributions import ZipfKeyDistribution
 
@@ -28,26 +28,23 @@ class TestMultiSpout:
         assert four.throughput == pytest.approx(one.throughput, rel=0.05)
 
     def test_each_spout_emits(self):
-        from repro.dspe.topology import WordCountCluster
-
         cluster = WordCountCluster(
             "pkg", dist(), ClusterConfig(duration=3, warmup=1, num_spouts=3, seed=2)
         )
         cluster.run()
-        assert len(cluster.spouts) == 3
-        assert all(s.emitted > 0 for s in cluster.spouts)
+        assert len(cluster.state.emitted) == 3
+        assert all(e > 0 for e in cluster.state.emitted)
 
     def test_acks_return_to_origin_spout(self):
-        from repro.dspe.topology import WordCountCluster
-
         cluster = WordCountCluster(
             "sg", dist(), ClusterConfig(duration=3, warmup=1, num_spouts=2, seed=3)
         )
         cluster.run()
         # If acks leaked to the wrong spout, in_flight would drift
         # negative on one spout and the other would stall at the cap.
-        for spout in cluster.spouts:
-            assert 0 <= spout.in_flight <= spout.max_pending
+        window = cluster.config.max_pending // 2
+        for in_flight in cluster.state.in_flight:
+            assert 0 <= in_flight <= window
 
     def test_balanced_even_with_multiple_local_sources(self):
         metrics = run_wordcount(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig, format_table, sci
-from repro.dspe.metrics import LatencyStats, RunMetrics
+from repro.queueing.cluster import LatencyStats, RunMetrics
 
 
 class TestSci:

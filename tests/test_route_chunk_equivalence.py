@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import available_schemes, make_partitioner
 from repro.core.engine import route_chunked
-from repro.dspe.topology import ClusterConfig, WordCountCluster
+from repro.queueing.cluster import ClusterConfig, WordCountCluster
 from repro.load import ProbingLoadEstimator, WorkerLoadRegistry
 from repro.partitioning import PartialKeyGrouping
 from repro.streams.distributions import ZipfKeyDistribution
