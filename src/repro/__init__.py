@@ -34,12 +34,6 @@ from repro.partitioning import (
     ShuffleGrouping,
     StaticPoTC,
 )
-from repro.load import (
-    GlobalOracleEstimator,
-    LocalLoadEstimator,
-    ProbingLoadEstimator,
-    WorkerLoadRegistry,
-)
 from repro.streams import (
     DATASETS,
     DatasetSpec,
@@ -83,10 +77,6 @@ __all__ = [
     "OfflineGreedy",
     "LeastLoaded",
     "RebalancingKeyGrouping",
-    "WorkerLoadRegistry",
-    "GlobalOracleEstimator",
-    "LocalLoadEstimator",
-    "ProbingLoadEstimator",
     "Message",
     "KeyDistribution",
     "ZipfKeyDistribution",

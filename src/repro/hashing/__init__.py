@@ -4,9 +4,8 @@ This package provides the hashing substrate used by every partitioning
 scheme in the library.  The paper uses a 64-bit Murmur hash "to minimize
 the probability of collision" (Section V-B); we provide:
 
-* :func:`murmur3_32` -- MurmurHash3 x86_32, validated against the
-  reference vectors of the original C++ implementation.
-* :func:`murmur2_64a` -- MurmurHash64A, the classic 64-bit Murmur variant.
+* :func:`murmur2_64a` -- MurmurHash64A, the classic 64-bit Murmur
+  variant, used on non-integer keys.
 * :func:`splitmix64` -- a fast 64-bit finalizer used on integer keys,
   with a vectorized numpy counterpart (:func:`splitmix64_array`).
 * :class:`HashFunction` / :class:`HashFamily` -- seeded, independent hash
@@ -14,21 +13,11 @@ the probability of collision" (Section V-B); we provide:
   by the Greedy-d process of Section IV.
 """
 
-from repro.hashing.murmur import (
-    fmix32,
-    fmix64,
-    murmur2_64a,
-    murmur3_32,
-    splitmix64,
-    splitmix64_array,
-)
+from repro.hashing.murmur import murmur2_64a, splitmix64, splitmix64_array
 from repro.hashing.families import HashFamily, HashFunction, key_to_bytes
 
 __all__ = [
-    "fmix32",
-    "fmix64",
     "murmur2_64a",
-    "murmur3_32",
     "splitmix64",
     "splitmix64_array",
     "HashFamily",

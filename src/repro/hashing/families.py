@@ -131,11 +131,6 @@ class HashFamily:
         return f"HashFamily(size={self.size}, seed={self.seed})"
 
 
-def default_family(num_choices: int = 2, seed: int = 0) -> HashFamily:
-    """Convenience constructor mirroring the paper's two-choice setup."""
-    return HashFamily(size=num_choices, seed=seed)
-
-
 def family_from_seeds(seeds: Sequence[int]) -> HashFamily:
     """Build a family whose members use exactly the given seeds."""
     family = HashFamily(size=len(seeds), seed=0)

@@ -10,82 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# MurmurHash3 x86_32 constants.
-_C1_32 = 0xCC9E2D51
-_C2_32 = 0x1B873593
 
 # MurmurHash64A constants.
 _M64 = 0xC6A4A7935BD1E995
 _R64 = 47
 
-# splitmix64 constants (Steele, Lea & Flood; also Murmur3's fmix64 cousins).
+# splitmix64 constants (Steele, Lea & Flood).
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
-
-
-def fmix32(h: int) -> int:
-    """MurmurHash3 32-bit finalization mix; full avalanche on 32 bits."""
-    h &= _MASK32
-    h ^= h >> 16
-    h = (h * 0x85EBCA6B) & _MASK32
-    h ^= h >> 13
-    h = (h * 0xC2B2AE35) & _MASK32
-    h ^= h >> 16
-    return h
-
-
-def fmix64(h: int) -> int:
-    """MurmurHash3 64-bit finalization mix; full avalanche on 64 bits."""
-    h &= _MASK64
-    h ^= h >> 33
-    h = (h * 0xFF51AFD7ED558CCD) & _MASK64
-    h ^= h >> 33
-    h = (h * 0xC4CEB9FE1A85EC53) & _MASK64
-    h ^= h >> 33
-    return h
-
-
-def murmur3_32(data: bytes, seed: int = 0) -> int:
-    """MurmurHash3 x86_32 of ``data`` with the given ``seed``.
-
-    Matches the reference implementation bit-for-bit (see the test
-    vectors in ``tests/test_hashing.py``).
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError(f"murmur3_32 expects bytes, got {type(data).__name__}")
-    data = bytes(data)
-    h = seed & _MASK32
-    length = len(data)
-    n_blocks = length // 4
-
-    for i in range(n_blocks):
-        k = int.from_bytes(data[4 * i : 4 * i + 4], "little")
-        k = (k * _C1_32) & _MASK32
-        k = ((k << 15) | (k >> 17)) & _MASK32
-        k = (k * _C2_32) & _MASK32
-        h ^= k
-        h = ((h << 13) | (h >> 19)) & _MASK32
-        h = (h * 5 + 0xE6546B64) & _MASK32
-
-    tail = data[4 * n_blocks :]
-    k = 0
-    if len(tail) >= 3:
-        k ^= tail[2] << 16
-    if len(tail) >= 2:
-        k ^= tail[1] << 8
-    if len(tail) >= 1:
-        k ^= tail[0]
-        k = (k * _C1_32) & _MASK32
-        k = ((k << 15) | (k >> 17)) & _MASK32
-        k = (k * _C2_32) & _MASK32
-        h ^= k
-
-    h ^= length
-    return fmix32(h)
 
 
 def murmur2_64a(data: bytes, seed: int = 0) -> int:

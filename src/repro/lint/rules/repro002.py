@@ -13,8 +13,8 @@ that make routing decisions or accumulate routing metrics:
   timestamps or the event loop's clock.
 
 "Hot path" is determined by directory name: any file under a
-``partitioning``, ``core``, ``hashing``, ``load``, ``sketches``,
-``queueing``, or ``runtime`` directory.  Timing *harnesses*
+``partitioning``, ``core``, ``hashing``, ``sketches``, ``queueing``,
+or ``runtime`` directory.  Timing *harnesses*
 (``repro.reports.bench``, experiment CLIs) live outside those trees
 and may measure wall-clock freely.  The sharded runtime
 (``repro.runtime``) does stamp enqueue times with ``perf_counter`` --
@@ -36,7 +36,6 @@ HOT_PATH_PARTS: Tuple[str, ...] = (
     "partitioning",
     "core",
     "hashing",
-    "load",
     "sketches",
     "queueing",
     "runtime",

@@ -22,6 +22,10 @@ from typing import Any, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+#: load written into masked workers' slots: far above any real count
+#: (streams are < 2^40 messages) yet still int64-safe under +1 sends.
+MASKED_LOAD = 2**62
+
 
 class Partitioner(ABC):
     """Routes message keys to workers ``0 .. num_workers - 1``.
@@ -31,17 +35,22 @@ class Partitioner(ABC):
     via :meth:`mask_worker`: afterwards :meth:`remap_masked` rewrites
     any decision for a masked worker to its deterministic deputy
     (``alive[dead % len(alive)]``), and load-aware schemes additionally
-    have their estimator poisoned (see
-    :meth:`repro.load.base.LoadEstimator.mask_workers`) so they prefer
-    survivors on their own.  The remap keeps the underlying routing
-    state evolution untouched -- decisions are remapped *after* the
-    scheme makes them -- so masking mid-stream never perturbs how
-    unaffected messages route.  Masks survive :meth:`reset` (a dead
-    worker stays dead for the rest of the run).
+    have the masked slots of their :attr:`loads` vector set to
+    :data:`MASKED_LOAD` so they prefer survivors on their own.  The
+    remap keeps the underlying routing state evolution untouched --
+    decisions are remapped *after* the scheme makes them -- so masking
+    mid-stream never perturbs how unaffected messages route.  Masks
+    survive :meth:`reset` (a dead worker stays dead for the rest of the
+    run).
     """
 
     #: short display name used in experiment tables ("PKG", "H", ...)
     name: str = "base"
+
+    #: load-aware schemes' int64 count of the messages this source has
+    #: sent to each worker -- the paper's local load estimate (Section
+    #: III-B).  None for schemes that ignore load.
+    loads: Optional[np.ndarray] = None
 
     def __init__(self, num_workers: int) -> None:
         if num_workers < 1:
@@ -56,8 +65,8 @@ class Partitioner(ABC):
     def route(self, key: Any, now: float = 0.0) -> int:
         """The worker that must handle the message with this ``key``.
 
-        ``now`` is the message timestamp; only time-aware partitioners
-        (probing PKG, rebalancing KG) use it.
+        ``now`` is the message timestamp; no registered scheme reads it
+        (every load estimate is a plain send count).
         """
 
     def candidates(self, key: Any) -> Tuple[int, ...]:
@@ -100,6 +109,27 @@ class Partitioner(ABC):
 
     def reset(self) -> None:
         """Clear any accumulated routing state (masks survive)."""
+        if self.loads is not None:
+            self.loads[:] = 0
+            self._on_mask()
+
+    def _send_least_loaded(self, candidates: Sequence[int]) -> int:
+        """Count one send to the least-loaded of ``candidates``.
+
+        Ties break toward the earliest candidate; candidate order is
+        already pseudo-random (it comes from independent hashes), so no
+        systematic bias results.
+        """
+        loads = self.loads
+        assert loads is not None  # called only by load-aware schemes
+        best = candidates[0]
+        best_load = loads[best]
+        for c in candidates[1:]:
+            load = loads[c]
+            if load < best_load:
+                best, best_load = c, load
+        loads[best] += 1
+        return int(best)
 
     # -- worker masking (reroute recovery) ----------------------------------
 
@@ -159,19 +189,14 @@ class Partitioner(ABC):
         return int(self._mask_map[worker])
 
     def _on_mask(self) -> None:
-        """Hook run after the mask changes; default poisons estimators.
+        """Hook run after the mask changes (and on :meth:`reset`).
 
-        Schemes carrying a ``self.estimator`` load vector get it
-        poisoned so d-choice draws avoid dead workers on their own;
-        schemes without one are covered by :meth:`remap_masked` alone.
-        Subclasses with other maskable state (rebalance targets,
-        routing tables) may extend this.
+        Writes :data:`MASKED_LOAD` into the masked workers' :attr:`loads`
+        slots so d-choice draws avoid dead workers on their own; schemes
+        without a load vector are covered by :meth:`remap_masked` alone.
         """
-        from repro.load.base import LoadEstimator
-
-        estimator = getattr(self, "estimator", None)
-        if isinstance(estimator, LoadEstimator):
-            estimator.mask_workers(self.masked_workers)
+        if self.loads is not None and self._masked:
+            self.loads[list(self._masked)] = MASKED_LOAD
 
     def memory_entries(self) -> int:
         """Routing-table entries this partitioner must store.

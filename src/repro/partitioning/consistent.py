@@ -27,8 +27,6 @@ from repro.api.registry import register
 from repro.core.chunks import factorize
 from repro.core.engine import greedy_route_chunk
 from repro.hashing import HashFunction
-from repro.load.base import LoadEstimator, WorkerLoadRegistry, vectorizable_loads
-from repro.load.local import LocalLoadEstimator
 from repro.partitioning.base import Partitioner
 
 
@@ -226,6 +224,7 @@ class ConsistentPartialKeyGrouping(Partitioner):
     """
 
     name = "CH-PKG"
+    loads: np.ndarray
 
     def __init__(
         self,
@@ -233,8 +232,6 @@ class ConsistentPartialKeyGrouping(Partitioner):
         num_choices: int = 2,
         virtual_nodes: int = 64,
         seed: int = 0,
-        estimator: Optional[LoadEstimator] = None,
-        registry: Optional[WorkerLoadRegistry] = None,
         ring: Optional[HashRing] = None,
     ) -> None:
         super().__init__(num_workers)
@@ -242,36 +239,28 @@ class ConsistentPartialKeyGrouping(Partitioner):
             raise ValueError(f"num_choices must be >= 1, got {num_choices}")
         self.num_choices = int(num_choices)
         self.ring = ring or HashRing(num_workers, virtual_nodes, seed)
-        self.estimator = estimator or LocalLoadEstimator(num_workers, registry)
+        self.loads = np.zeros(num_workers, dtype=np.int64)
 
     def candidates(self, key: Any) -> Tuple[int, ...]:
         return self.ring.successors(key, self.num_choices)
 
     def route(self, key: Any, now: float = 0.0) -> int:
-        worker = self.estimator.select(self.candidates(key), now)
-        self.estimator.on_send(worker, now)
-        return worker
+        return self._send_least_loaded(self.candidates(key))
 
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        loads, mirror = vectorizable_loads(self.estimator)
-        if loads is None:
-            return super().route_chunk(keys, timestamps)
         # Ring successors once per distinct key, then the Greedy-d
         # chunk kernel over the gathered candidate matrix.
         codes, unique = factorize(keys)
         choices = self.ring.successor_matrix(unique, self.num_choices)[codes]
-        out = greedy_route_chunk(choices, loads)
-        if mirror is not None:
-            mirror.add_chunk(np.bincount(out, minlength=self.num_workers))
-        return out
+        return greedy_route_chunk(choices, self.loads)
 
     def add_worker(self, worker: int) -> None:
         """Elastically grow the worker set (new arcs only)."""
         if not 0 <= worker < self.num_workers:
             raise ValueError(
-                f"worker {worker} outside the estimator's range "
+                f"worker {worker} outside the load vector's range "
                 f"[0, {self.num_workers}); construct with capacity first"
             )
         self.ring.add_worker(worker)
@@ -279,9 +268,6 @@ class ConsistentPartialKeyGrouping(Partitioner):
     def remove_worker(self, worker: int) -> None:
         """Elastically shrink the worker set."""
         self.ring.remove_worker(worker)
-
-    def reset(self) -> None:
-        self.estimator.reset()
 
 
 def relocation_fraction(

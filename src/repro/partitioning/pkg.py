@@ -8,9 +8,11 @@ PKG = power of two choices + *key splitting* + *local load estimation*:
   loaded *according to this source's own estimate* -- the key may end up
   split across both candidates (key splitting), so no routing table or
   inter-source agreement is needed;
-* the estimate is purely local by default (:class:`LocalLoadEstimator`)
-  but any :class:`~repro.load.base.LoadEstimator` can be plugged in,
-  giving the paper's G / L / LP variants.
+* the estimate is purely local: :attr:`loads` counts the messages this
+  source has sent to each worker.  The paper's global-oracle and
+  probing comparisons (G / LP) are modes of
+  :class:`repro.core.engine.InterleavedRouter`, reached through
+  :func:`repro.core.engine.simulate_multisource_pkg`.
 
 This implements the Greedy-d scheme of Section IV for arbitrary d;
 d = 2 is the paper's PKG (d > 2 "only brings constant factor
@@ -27,8 +29,6 @@ from repro.api.registry import register
 from repro.core.chunks import hashed_choices
 from repro.core.engine import greedy_route_chunk
 from repro.hashing import HashFamily
-from repro.load.base import LoadEstimator, WorkerLoadRegistry, vectorizable_loads
-from repro.load.local import LocalLoadEstimator
 from repro.partitioning.base import Partitioner
 
 
@@ -51,23 +51,16 @@ class PartialKeyGrouping(Partitioner):
         The d independent hash functions; built from ``seed`` if absent.
         Sources sharing an edge **must** share a family (same seed) so
         that a key's candidate set is consistent across sources.
-    estimator:
-        Load-estimation strategy.  Defaults to a fresh local estimator
-        (the paper's practical configuration).
-    registry:
-        Convenience: when given and no estimator is supplied, the local
-        estimator also mirrors sends into this ground-truth registry.
     """
 
     name = "PKG"
+    loads: np.ndarray
 
     def __init__(
         self,
         num_workers: int,
         num_choices: int = 2,
         hash_family: Optional[HashFamily] = None,
-        estimator: Optional[LoadEstimator] = None,
-        registry: Optional[WorkerLoadRegistry] = None,
         seed: int = 0,
     ) -> None:
         super().__init__(num_workers)
@@ -78,16 +71,14 @@ class PartialKeyGrouping(Partitioner):
             )
         self.num_choices = int(num_choices)
         self.family = hash_family or HashFamily(size=num_choices, seed=seed)
-        self.estimator = estimator or LocalLoadEstimator(num_workers, registry)
+        self.loads = np.zeros(num_workers, dtype=np.int64)
 
     def candidates(self, key: Any) -> Tuple[int, ...]:
         """The d candidate workers of ``key`` (duplicates preserved)."""
         return self.family.choices(key, self.num_workers)
 
     def route(self, key: Any, now: float = 0.0) -> int:
-        worker = self.estimator.select(self.candidates(key), now)
-        self.estimator.on_send(worker, now)
-        return worker
+        return self._send_least_loaded(self.candidates(key))
 
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
@@ -96,39 +87,15 @@ class PartialKeyGrouping(Partitioner):
 
         The d hash columns are precomputed for the whole chunk (fully
         vectorised for integer keys, once per *distinct* key
-        otherwise); the remaining per-key work is an argmin over the d
-        candidate loads, run by the Greedy-d chunk kernel when the
-        estimator's state is a plain load vector.  Count-based
-        estimators ignore ``now``, so the kernel path applies with or
-        without timestamps; time-aware estimators (probing) take the
-        per-message loop.
+        otherwise); the remaining per-key argmin over the d candidate
+        loads runs in the Greedy-d chunk kernel.  ``timestamps`` is
+        ignored: the estimate is a pure send count.
         """
         choices = hashed_choices(self.family, keys, self.num_workers)
-        loads, mirror = vectorizable_loads(self.estimator)
-        if loads is not None:
-            out = greedy_route_chunk(choices, loads)
-            if mirror is not None:
-                mirror.add_chunk(np.bincount(out, minlength=self.num_workers))
-            return out
-
-        estimator = self.estimator
-        m = choices.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        choice_cols = [col.tolist() for col in choices.T]
-        times = timestamps if timestamps is not None else np.zeros(m)
-        for i in range(m):
-            cands = tuple(col[i] for col in choice_cols)
-            t = float(times[i])
-            w = estimator.select(cands, t)
-            estimator.on_send(w, t)
-            out[i] = w
-        return out
-
-    def reset(self) -> None:
-        self.estimator.reset()
+        return greedy_route_chunk(choices, self.loads)
 
     def __repr__(self) -> str:
         return (
             f"PartialKeyGrouping(num_workers={self.num_workers}, "
-            f"num_choices={self.num_choices}, estimator={self.estimator!r})"
+            f"num_choices={self.num_choices})"
         )

@@ -18,8 +18,6 @@ import numpy as np
 from repro.api.registry import register
 from repro.core.chunks import hashed_choices
 from repro.hashing import HashFamily
-from repro.load.base import LoadEstimator, WorkerLoadRegistry
-from repro.load.oracle import GlobalOracleEstimator
 from repro.partitioning.base import Partitioner
 from repro.partitioning.greedy import _bind_chunk_with_table
 
@@ -32,32 +30,24 @@ from repro.partitioning.greedy import _bind_chunk_with_table
 class StaticPoTC(Partitioner):
     """PoTC applied to key grouping: first-sight binding of key to choice.
 
-    Parameters
-    ----------
-    num_workers:
-        Downstream parallelism W.
-    estimator:
-        Load view consulted at first sight of a key.  Defaults to a
-        global oracle over a private registry (the most favourable
-        setting for PoTC; it loses to PKG even so).
+    A key binds to the least-loaded of its two hash candidates
+    according to :attr:`loads`, the messages this instance has routed
+    per worker -- the true loads when it is the only source (the most
+    favourable setting for PoTC; it loses to PKG even so).
     """
 
     name = "PoTC"
+    loads: np.ndarray
 
     def __init__(
         self,
         num_workers: int,
         hash_family: Optional[HashFamily] = None,
-        estimator: Optional[LoadEstimator] = None,
-        registry: Optional[WorkerLoadRegistry] = None,
         seed: int = 0,
     ) -> None:
         super().__init__(num_workers)
         self.family = hash_family or HashFamily(size=2, seed=seed)
-        if estimator is None:
-            registry = registry or WorkerLoadRegistry(num_workers)
-            estimator = GlobalOracleEstimator(registry)
-        self.estimator = estimator
+        self.loads = np.zeros(num_workers, dtype=np.int64)
         self.routing_table: Dict = {}
 
     def candidates(self, key: Any) -> Tuple[int, ...]:
@@ -68,32 +58,28 @@ class StaticPoTC(Partitioner):
     def route(self, key: Any, now: float = 0.0) -> int:
         worker = self.routing_table.get(key)
         if worker is None:
-            worker = self.estimator.select(
-                self.family.choices(key, self.num_workers), now
+            worker = self._send_least_loaded(
+                self.family.choices(key, self.num_workers)
             )
             self.routing_table[key] = worker
-        self.estimator.on_send(worker, now)
+        else:
+            self.loads[worker] += 1
         return worker
 
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        out = _bind_chunk_with_table(
+        return _bind_chunk_with_table(
             self,
             keys,
             choices_for=lambda unique: hashed_choices(
                 self.family, unique, self.num_workers
             ),
         )
-        if out is None:
-            return super().route_chunk(keys, timestamps)
-        return out
 
     def memory_entries(self) -> int:
         return len(self.routing_table)
 
     def reset(self) -> None:
         self.routing_table.clear()
-        self.estimator.reset()
-        if isinstance(self.estimator, GlobalOracleEstimator):
-            self.estimator.registry.reset()
+        super().reset()

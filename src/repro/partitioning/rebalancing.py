@@ -58,6 +58,7 @@ class RebalancingKeyGrouping(Partitioner):
     """
 
     name = "KG-rebalance"
+    loads: np.ndarray
 
     def __init__(
         self,
@@ -296,6 +297,9 @@ class RebalancingKeyGrouping(Partitioner):
             self.migrated_state += count
             moved += 1
             position += 1
+
+    def _on_mask(self) -> None:
+        """Keep :attr:`loads` true: it drives migration, not selection."""
 
     def memory_entries(self) -> int:
         # The migration mechanism must track per-key counts *and* the

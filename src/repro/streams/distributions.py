@@ -291,7 +291,7 @@ class LogNormalKeyDistribution(KeyDistribution):
     4th decimal for the paper's parameter choices.
     """
 
-    def __init__(self, mu: float, sigma: float, num_keys: int, seed: int = 0):
+    def __init__(self, mu: float, sigma: float, num_keys: int):
         if num_keys < 1:
             raise ValueError(f"num_keys must be >= 1, got {num_keys}")
         if sigma <= 0:
@@ -299,7 +299,6 @@ class LogNormalKeyDistribution(KeyDistribution):
         super().__init__()
         self.mu = float(mu)
         self.sigma = float(sigma)
-        self.seed = int(seed)  # kept for API compatibility; unused
         self._num_keys = int(num_keys)
 
     def _build_probabilities(self) -> np.ndarray:

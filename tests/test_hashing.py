@@ -1,4 +1,4 @@
-"""Tests for repro.hashing: Murmur implementations and hash families."""
+"""Tests for repro.hashing: Murmur/splitmix64 hashes and hash families."""
 
 import numpy as np
 import pytest
@@ -6,62 +6,12 @@ import pytest
 from repro.hashing import (
     HashFamily,
     HashFunction,
-    fmix32,
-    fmix64,
     key_to_bytes,
     murmur2_64a,
-    murmur3_32,
     splitmix64,
     splitmix64_array,
 )
 from repro.hashing.families import family_from_seeds
-
-
-class TestMurmur3_32:
-    """Reference vectors from Austin Appleby's SMHasher implementation."""
-
-    @pytest.mark.parametrize(
-        "data,seed,expected",
-        [
-            (b"", 0, 0x00000000),
-            (b"", 1, 0x514E28B7),
-            (b"", 0xFFFFFFFF, 0x81F16F39),
-            (b"\x00\x00\x00\x00", 0, 0x2362F9DE),
-            (b"hello", 0, 0x248BFA47),
-            (b"hello, world", 0, 0x149BBB7F),
-            (b"The quick brown fox jumps over the lazy dog", 0, 0x2E4FF723),
-            (b"aaaa", 0x9747B28C, 0x5A97808A),
-            (b"abc", 0, 0xB3DD93FA),
-            (b"Hello, world!", 0x9747B28C, 0x24884CBA),
-        ],
-    )
-    def test_reference_vectors(self, data, seed, expected):
-        assert murmur3_32(data, seed) == expected
-
-    def test_deterministic(self):
-        assert murmur3_32(b"stream", 7) == murmur3_32(b"stream", 7)
-
-    def test_seed_changes_output(self):
-        assert murmur3_32(b"stream", 1) != murmur3_32(b"stream", 2)
-
-    def test_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            murmur3_32("not bytes")  # type: ignore[arg-type]
-
-    def test_accepts_bytearray_and_memoryview(self):
-        base = murmur3_32(b"abcdef")
-        assert murmur3_32(bytearray(b"abcdef")) == base
-        assert murmur3_32(memoryview(b"abcdef")) == base
-
-    def test_output_is_32_bit(self):
-        for i in range(50):
-            h = murmur3_32(str(i).encode())
-            assert 0 <= h <= 0xFFFFFFFF
-
-    def test_all_tail_lengths(self):
-        # Exercise the 1-, 2- and 3-byte tail branches.
-        values = {murmur3_32(b"x" * n) for n in range(1, 9)}
-        assert len(values) == 8
 
 
 class TestMurmur64:
@@ -97,21 +47,6 @@ class TestMurmur64:
         flipped = murmur2_64a(b"\x01" + b"\x00" * 7)
         distance = bin(base ^ flipped).count("1")
         assert 16 <= distance <= 48
-
-
-class TestFinalizers:
-    def test_fmix32_zero(self):
-        assert fmix32(0) == 0
-
-    def test_fmix64_zero(self):
-        assert fmix64(0) == 0
-
-    def test_fmix32_range(self):
-        assert all(0 <= fmix32(i) <= 0xFFFFFFFF for i in range(100))
-
-    def test_fmix64_bijective_sample(self):
-        outs = {fmix64(i) for i in range(10_000)}
-        assert len(outs) == 10_000  # injective on this sample
 
 
 class TestSplitmix64:

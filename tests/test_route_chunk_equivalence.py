@@ -13,8 +13,6 @@ import pytest
 from repro.api import available_schemes, make_partitioner
 from repro.core.engine import route_chunked
 from repro.queueing.cluster import ClusterConfig, WordCountCluster
-from repro.load import ProbingLoadEstimator, WorkerLoadRegistry
-from repro.partitioning import PartialKeyGrouping
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -68,25 +66,6 @@ def test_chunked_matches_per_message_with_timestamps(scheme):
         chunk_size=1_024,
     )
     assert np.array_equal(chunked, reference), scheme
-
-
-def test_probing_estimator_stays_on_per_message_path():
-    """Probing reads true loads at probe times, so its chunk path must
-    replay per message and still match route() exactly."""
-    keys = zipf_keys(8_000)
-    timestamps = np.arange(keys.size, dtype=np.float64)
-
-    def build():
-        registry = WorkerLoadRegistry(6)
-        estimator = ProbingLoadEstimator(6, registry, period=500.0)
-        return PartialKeyGrouping(6, estimator=estimator, registry=None, seed=4)
-
-    reference_pkg = build()
-    reference = np.array(
-        [reference_pkg.route(int(k), float(t)) for k, t in zip(keys, timestamps)]
-    )
-    chunked = route_chunked(keys, build(), timestamps=timestamps, chunk_size=333)
-    assert np.array_equal(chunked, reference)
 
 
 class _RecordingPartitioner:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import make_partitioner
 from repro.core.chunks import ArrayChunkSource, fork_source, iter_keyed_chunks
-from repro.load.local import MASKED_LOAD
+from repro.partitioning.base import MASKED_LOAD
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
@@ -432,17 +432,21 @@ class TestMasking:
         assert p.masked_workers == (3,)
         assert p.remap_worker(3) != 3
 
-    def test_estimator_poisoning_prefers_survivors(self):
-        p = make_partitioner("pkg", 4, seed=42)
+    @pytest.mark.parametrize(
+        "scheme", ["pkg", "ch-pkg", "least-loaded", "potc", "on-greedy"]
+    )
+    def test_estimator_poisoning_prefers_survivors(self, scheme):
+        p = make_partitioner(scheme, 4, seed=42)
         p.mask_worker(1)
-        estimator = p.estimator
-        assert estimator.local[1] == MASKED_LOAD
+        assert p.loads[1] == MASKED_LOAD
         # A d-choice draw whose candidates include the dead worker
         # resolves to the live one.
-        assert estimator.select([1, 3]) == 3
+        assert p._send_least_loaded([1, 3]) == 3
+        p.route_chunk(STREAM[:500])
         # ...and the sentinel survives reset.
-        estimator.reset()
-        assert estimator.local[1] == MASKED_LOAD
+        p.reset()
+        assert p.loads[1] == MASKED_LOAD
+        assert p.loads[[0, 2, 3]].tolist() == [0, 0, 0]
 
     def test_unmasked_routing_is_untouched(self):
         masked = make_partitioner("pkg", 4, seed=42)
