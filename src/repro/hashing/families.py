@@ -50,6 +50,8 @@ class HashFunction:
         self._seed_mix = splitmix64(self.seed)
 
     def __call__(self, key) -> int:
+        if type(key) is int:  # plain ints skip the isinstance check and int()
+            return splitmix64((key & _MASK64) ^ self._seed_mix)
         if isinstance(key, (int, np.integer)):
             return splitmix64((int(key) & _MASK64) ^ self._seed_mix)
         return murmur2_64a(key_to_bytes(key), self.seed)
@@ -87,16 +89,28 @@ class HashFamily:
         independent.
     """
 
-    __slots__ = ("size", "seed", "functions")
+    __slots__ = ("size", "seed", "_functions", "_seed_mixes")
 
     def __init__(self, size: int = 2, seed: int = 0):
         if size < 1:
             raise ValueError(f"hash family size must be >= 1, got {size}")
         self.size = int(size)
         self.seed = int(seed)
-        self.functions: Tuple[HashFunction, ...] = tuple(
+        self.functions = tuple(
             HashFunction(splitmix64((self.seed << 8) ^ (i + 1))) for i in range(size)
         )
+
+    @property
+    def functions(self) -> Tuple[HashFunction, ...]:
+        """The members ``H1 .. Hd``."""
+        return self._functions
+
+    @functions.setter
+    def functions(self, functions: Tuple[HashFunction, ...]) -> None:
+        # choices() reads the members' seed mixes from here, so keep the
+        # two in step whenever the members are replaced.
+        self._functions = tuple(functions)
+        self._seed_mixes = tuple(f._seed_mix for f in self._functions)
 
     def __len__(self) -> int:
         return self.size
@@ -114,6 +128,9 @@ class HashFamily:
         in the paper's process: a key whose two hashes collide
         effectively has a single choice.
         """
+        if type(key) is int:
+            x = key & _MASK64
+            return tuple([splitmix64(x ^ mix) % n for mix in self._seed_mixes])
         return tuple(f(key) % n for f in self.functions)
 
     def choice_matrix(self, keys: np.ndarray, n: int) -> np.ndarray:

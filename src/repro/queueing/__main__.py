@@ -4,7 +4,7 @@ Runs the excess-tail-latency-vs-offered-load sweep and prints the
 table -- the quick interactive view of the ``latency_curves``
 experiment.  To persist the artifact (``results/latency_curves.json``)
 and regenerate EXPERIMENTS.md, use ``python -m repro.reports run
---only latency_curves`` / ``render`` instead.
+--experiments latency_curves`` / ``render`` instead.
 """
 
 from __future__ import annotations

@@ -69,12 +69,20 @@ MEMORY_SAMPLE_PERIOD = 0.5
 #: keys drawn from the distribution per refill of the shared key buffer.
 _KEY_BATCH = 16384
 
+#: post-fill samples :class:`LatencyStats` buffers per batched slot draw.
+_DRAW_BATCH = 4096
+
 
 class LatencyStats:
     """Online latency statistics with reservoir percentiles.
 
     Keeps exact count/mean plus a bounded reservoir for percentile
-    estimates so that million-tuple runs do not hoard memory.
+    estimates so that million-tuple runs do not hoard memory.  Once the
+    reservoir is full, samples wait in a buffer and their replacement
+    slots are drawn in one batch (every :data:`_DRAW_BATCH` samples and
+    at each :meth:`percentile`); an array-``high`` draw yields the same
+    numbers as one scalar draw per sample, so the reservoir is the one
+    per-sample Algorithm R would keep.
     """
 
     def __init__(self, reservoir_size: int = 4096, seed: int = 0):
@@ -85,6 +93,7 @@ class LatencyStats:
         self.max = 0.0
         self._reservoir: List[float] = []
         self._reservoir_size = int(reservoir_size)
+        self._pending: List[float] = []
         self._rng = np.random.default_rng(seed)
 
     def record(self, value: float) -> None:
@@ -95,12 +104,25 @@ class LatencyStats:
         if len(self._reservoir) < self._reservoir_size:
             self._reservoir.append(value)
         else:
-            j = int(self._rng.integers(0, self.count))
-            if j < self._reservoir_size:
-                self._reservoir[j] = value
+            self._pending.append(value)
+            if len(self._pending) >= _DRAW_BATCH:
+                self._draw()
+
+    def _draw(self) -> None:
+        """Apply the buffered samples: sample ``c`` replaces slot ``j``
+        drawn from ``[0, c)`` when ``j`` falls inside the reservoir."""
+        pending = self._pending
+        if not pending:
+            return
+        first = self.count - len(pending) + 1
+        slots = self._rng.integers(0, np.arange(first, self.count + 1))
+        for i in np.flatnonzero(slots < self._reservoir_size).tolist():
+            self._reservoir[int(slots[i])] = pending[i]
+        pending.clear()
 
     def percentile(self, q: float) -> float:
         """Approximate ``q``-th percentile (q in [0, 100])."""
+        self._draw()
         if not self._reservoir:
             return 0.0
         return float(np.percentile(self._reservoir, q))

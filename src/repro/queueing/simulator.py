@@ -14,10 +14,20 @@ Mechanics:
   generator, so a run is a pure function of
   ``(keys, partitioner, arrivals, service, seed)`` -- identical across
   processes and job counts;
-* each arrival routes through ``partitioner.route(key, now)`` at its
-  arrival instant, so queue-depth-aware schemes (``jbsq``) observe the
-  true instantaneous backlog;
-* partitioners exposing an ``on_complete(worker, now)`` hook (the
+* when routing and admission cannot depend on queue state --
+  unbounded queues and a partitioner without an ``on_complete`` hook,
+  which is every registered scheme except ``jbsq`` -- the open-loop
+  run takes the **Lindley pass**: the keys are routed ahead in chunks
+  by ``partitioner.route_chunk`` (arrival times as ``timestamps``),
+  then one sequential pass sets each departure to
+  ``max(arrival, worker free) + service``.  That is the float
+  arithmetic the event loop performs, so the result is bit-identical
+  to the event path;
+* otherwise the run goes through the event loop: each arrival routes
+  through ``partitioner.route(key, now)`` at its arrival instant, so
+  queue-depth-aware schemes (``jbsq``) observe the true instantaneous
+  backlog, and partitioners exposing an ``on_complete(worker, now)``
+  hook (the
   :class:`~repro.partitioning.jbsq.JoinBoundedShortestQueue` feedback
   channel) are notified at every departure and drop;
 * a full queue drops the arrival (counted per worker); ``None``
@@ -58,6 +68,10 @@ __all__ = [
 
 #: the departure-feedback hook queue-aware partitioners may expose.
 CompletionHook = Callable[[int, float], None]
+
+#: keys routed per ``route_chunk`` call on the Lindley pass; bounds the
+#: per-chunk arrays the routing kernels allocate.
+_ROUTE_CHUNK = 8192
 
 
 @dataclass
@@ -225,6 +239,65 @@ class _Stations:
         self.admit = admit
 
 
+def _simulate_lindley(
+    key_array: np.ndarray,
+    partitioner: "Partitioner",
+    arrival_array: np.ndarray,
+    service_times: List[float],
+    warmup: int,
+    relative_error: float,
+) -> QueueingResult:
+    """The open-loop run without events, for queue-blind routing.
+
+    With unbounded queues and no completion feedback, nothing a message
+    meets after routing can change where later messages go, so the keys
+    are routed ahead in chunks and each FIFO worker obeys the Lindley
+    recursion: message ``i`` departs at ``max(a_i, free[w]) + s_i``,
+    ``free[w]`` being the worker's previous departure.  Service starts
+    at the arrival when the worker is idle and at its predecessor's
+    departure otherwise, the very floats the event loop adds; each
+    worker's departures, sketch samples and busy time accumulate in its
+    FIFO order, as the event loop's do.
+    """
+    n = int(key_array.size)
+    num_workers = partitioner.num_workers
+    arrival_times: List[float] = arrival_array.tolist()
+    free = [0.0] * num_workers
+    busy_time = [0.0] * num_workers
+    buffers: List[List[float]] = [[] for _ in range(num_workers)]
+    waiting_buffers: List[List[float]] = [[] for _ in range(num_workers)]
+    for start in range(0, n, _ROUTE_CHUNK):
+        stop = min(n, start + _ROUTE_CHUNK)
+        workers = partitioner.route_chunk(
+            key_array[start:stop], arrival_array[start:stop]
+        ).tolist()
+        for index, worker in enumerate(workers, start):
+            arrival = arrival_times[index]
+            duration = service_times[index]
+            ready = free[worker]
+            departure = (arrival if arrival > ready else ready) + duration
+            free[worker] = departure
+            busy_time[worker] += duration
+            if index >= warmup:
+                sojourn = departure - arrival
+                buffers[worker].append(sojourn)
+                waiting_buffers[worker].append(sojourn - duration)
+    return _result(
+        num_workers,
+        n,
+        n,
+        0,
+        # each worker's last departure is its latest; 0.0 when n == 0
+        max(free),
+        buffers,
+        waiting_buffers,
+        np.asarray(busy_time, dtype=np.float64),
+        np.zeros(num_workers, dtype=np.int64),
+        warmup,
+        relative_error,
+    )
+
+
 def simulate_queueing(
     keys: KeyStream,
     partitioner: "Partitioner",
@@ -242,7 +315,9 @@ def simulate_queueing(
     message in service; arrivals beyond it are dropped (and reported),
     never re-queued.  ``warmup_fraction`` excludes the leading fraction
     of messages from the latency sketches so transient ramp-up does not
-    bias steady-state tails.
+    bias steady-state tails.  Unbounded runs of a partitioner without an
+    ``on_complete`` hook take the event-free Lindley pass; bounded or
+    feedback runs go through the event loop.  Both give the same result.
     """
     key_array = as_key_array(keys)
     n = int(key_array.size)
@@ -252,8 +327,13 @@ def simulate_queueing(
     num_workers = partitioner.num_workers
 
     rng = np.random.default_rng(seed)
-    arrival_times = arrivals.arrival_times(n, rng).tolist()
+    arrival_array = arrivals.arrival_times(n, rng)
     service_times = service.sample(n, rng).tolist()
+    if queue_capacity is None and getattr(partitioner, "on_complete", None) is None:
+        return _simulate_lindley(
+            key_array, partitioner, arrival_array, service_times, warmup, relative_error
+        )
+    arrival_times = arrival_array.tolist()
 
     loop = EventLoop()
     stations = _Stations(loop, partitioner, arrival_times, service_times, warmup)

@@ -5,6 +5,7 @@ relies on; ``TestExecutors`` checks the spout, worker and aggregator
 mechanics through the cluster API on hand-sized configurations.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.engine import EventLoop
@@ -104,6 +105,69 @@ class TestLatencyStats:
             ls.record(float(v))
         assert len(ls._reservoir) == 100
         assert ls.count == 10_000
+
+
+class ScalarReservoir:
+    """The per-record reservoir: one scalar slot draw per sample."""
+
+    def __init__(self, reservoir_size, seed):
+        self.count, self.mean, self.max = 0, 0.0, 0.0
+        self.reservoir = []
+        self.size = reservoir_size
+        self.rng = np.random.default_rng(seed)
+
+    def record(self, value):
+        self.count += 1
+        self.mean += (value - self.mean) / self.count
+        if value > self.max:
+            self.max = value
+        if len(self.reservoir) < self.size:
+            self.reservoir.append(value)
+        else:
+            j = int(self.rng.integers(0, self.count))
+            if j < self.size:
+                self.reservoir[j] = value
+
+
+class TestBatchedReservoir:
+    QS = (0, 1, 50, 99, 100)
+
+    def assert_same(self, batched, scalar):
+        expected = [
+            float(np.percentile(scalar.reservoir, q)) if scalar.reservoir else 0.0
+            for q in self.QS
+        ]
+        assert [batched.percentile(q) for q in self.QS] == expected
+        assert batched._reservoir == scalar.reservoir
+        assert (batched.count, batched.mean, batched.max) == (
+            scalar.count,
+            scalar.mean,
+            scalar.max,
+        )
+
+    @pytest.mark.parametrize("size", [1, 100, 4096])
+    @pytest.mark.parametrize("length", ["0", "size", "size+1", "3*4096+7"])
+    def test_matches_scalar_draws(self, size, length):
+        n = {"0": 0, "size": size, "size+1": size + 1, "3*4096+7": 3 * 4096 + 7}[
+            length
+        ]
+        values = np.random.default_rng(size + n).exponential(1.0, size=n).tolist()
+        batched, scalar = LatencyStats(size, seed=9), ScalarReservoir(size, seed=9)
+        for v in values:
+            batched.record(v)
+            scalar.record(v)
+        self.assert_same(batched, scalar)
+
+    @pytest.mark.parametrize("size", [1, 100, 4096])
+    def test_percentile_mid_stream_then_more_records(self, size):
+        values = np.random.default_rng(4).exponential(1.0, size=3 * 4096 + 7)
+        batched, scalar = LatencyStats(size, seed=2), ScalarReservoir(size, seed=2)
+        for i, v in enumerate(values.tolist()):
+            batched.record(v)
+            scalar.record(v)
+            if i in (size + 5, 5_000):
+                self.assert_same(batched, scalar)
+        self.assert_same(batched, scalar)
 
 
 def one_worker(scheme="sg", keys=1, **overrides):

@@ -170,3 +170,58 @@ class TestHashFamily:
         choices = family.choices("the", 10)
         assert len(choices) == 2
         assert all(0 <= c < 10 for c in choices)
+
+
+
+class TestIntegerFastPath:
+    """Plain ``int`` keys skip the per-function call; results may not move."""
+
+    KEYS = [0, 1, 7, -1, -12345, -(2**63), 2**63 - 1, 2**63, 2**64 - 1]
+    NS = (1, 9, 2**31 + 1)
+
+    @staticmethod
+    def reference(seed, key):
+        """The splitmix64 hash of an integer key, written out."""
+        return splitmix64((int(key) & 0xFFFFFFFFFFFFFFFF) ^ splitmix64(seed))
+
+    @staticmethod
+    def families():
+        out = [HashFamily(size=d, seed=s) for d in (1, 2, 3, 4) for s in (0, 7)]
+        out += [family_from_seeds(seeds) for seeds in ([5], [11, 22], [0, 1, 2, 3])]
+        return out
+
+    def expected(self, family, key, n):
+        return tuple(self.reference(f.seed, key) % n for f in family.functions)
+
+    def test_call_matches_reference(self):
+        for seed in (0, 3, 2**40):
+            f = HashFunction(seed)
+            for key in self.KEYS:
+                assert f(key) == self.reference(seed, key)
+
+    def test_choices_match_per_function_path(self):
+        for family in self.families():
+            for key in self.KEYS:
+                for n in self.NS:
+                    per_function = tuple(f(key) % n for f in family.functions)
+                    assert family.choices(key, n) == per_function
+                    assert per_function == self.expected(family, key, n)
+
+    def test_numpy_and_bool_keys_take_the_generic_path(self):
+        for family in self.families():
+            for n in self.NS:
+                for key in (0, 1, -5, 2**62, -(2**63), 2**63 - 1):
+                    assert family.choices(np.int64(key), n) == self.expected(
+                        family, key, n
+                    )
+                assert family.choices(np.uint64(2**64 - 1), n) == self.expected(
+                    family, 2**64 - 1, n
+                )
+                assert family.choices(True, n) == family.choices(1, n)
+                assert family.functions[0](True) == family.functions[0](1)
+
+    def test_reassigned_functions_refresh_the_fast_path(self):
+        family = HashFamily(size=2, seed=1)
+        family.functions = (HashFunction(11), HashFunction(22))
+        key, n = 12345, 97
+        assert family.choices(key, n) == tuple(HashFunction(s)(key) % n for s in (11, 22))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.api import make_partitioner
-from repro.partitioning import JoinBoundedShortestQueue
+from repro.api import available_schemes, make_partitioner
+from repro.partitioning import JoinBoundedShortestQueue, Partitioner
 from repro.queueing import (
     BimodalService,
     DeterministicArrivals,
@@ -227,3 +227,138 @@ class TestQueueingCLI:
 
         with pytest.raises(SystemExit):
             main(["--utilizations", "1.5"])
+
+
+# -- the Lindley pass against the event path --------------------------------
+
+LINDLEY_WORKERS = 4
+LINDLEY_MU = 1000.0
+LINDLEY_LAM = 0.8 * LINDLEY_WORKERS * LINDLEY_MU
+LINDLEY_ARRIVALS = {
+    "poisson": PoissonArrivals(LINDLEY_LAM),
+    # the gap equals the deterministic service time, so a worker's
+    # next message lands exactly on its predecessor's departure.
+    "deterministic": DeterministicArrivals(LINDLEY_MU),
+    "trace": TraceArrivals(
+        np.cumsum(np.random.default_rng(2).pareto(1.5, size=1_000)), rate=LINDLEY_LAM
+    ),
+}
+LINDLEY_SERVICES = {
+    "exponential": ExponentialService(1.0 / LINDLEY_MU),
+    "deterministic": DeterministicService(1.0 / LINDLEY_MU),
+    "bimodal": BimodalService(0.5 / LINDLEY_MU, 5.5 / LINDLEY_MU, 0.1),
+}
+QUEUE_BLIND_SCHEMES = sorted(s for s in available_schemes() if s != "jbsq")
+
+
+def lindley_and_event(make, n, arrivals, service, warmup_fraction, seed=5):
+    """Run the same cell on the Lindley pass and on the event path.
+
+    ``queue_capacity=max(n, 1)`` can never drop, so it changes nothing
+    but the path taken: it forces the event loop, the oracle.
+    """
+    keys = np.random.default_rng(seed).zipf(1.5, size=n).astype(np.int64) % 500
+    out = []
+    for capacity in (None, max(n, 1)):
+        partitioner = make()
+        result = simulate_queueing(
+            keys,
+            partitioner,
+            arrivals,
+            service,
+            seed=seed,
+            queue_capacity=capacity,
+            warmup_fraction=warmup_fraction,
+        )
+        out.append((result, partitioner))
+    return out
+
+
+def assert_same_run(fast, slow):
+    (a, pa), (b, pb) = fast, slow
+    assert a.completed == b.completed == a.num_messages
+    assert a.dropped == b.dropped == 0
+    assert a.end_time == b.end_time
+    assert np.array_equal(a.busy_time, b.busy_time)
+    assert np.array_equal(a.dropped_per_worker, b.dropped_per_worker)
+    assert a.warmup_messages == b.warmup_messages
+    assert a.latency.to_dict() == b.latency.to_dict()
+    assert a.waiting.to_dict() == b.waiting.to_dict()
+    assert [s.to_dict() for s in a.worker_latency] == [
+        s.to_dict() for s in b.worker_latency
+    ]
+    if pb.loads is None:
+        assert pa.loads is None
+    else:
+        assert np.array_equal(pa.loads, pb.loads)
+
+
+class TestLindleyPath:
+    @pytest.mark.parametrize("scheme", QUEUE_BLIND_SCHEMES)
+    @pytest.mark.parametrize("arrival", sorted(LINDLEY_ARRIVALS))
+    @pytest.mark.parametrize("service", sorted(LINDLEY_SERVICES))
+    def test_matches_event_path(self, scheme, arrival, service):
+        fast, slow = lindley_and_event(
+            lambda: make_partitioner(scheme, LINDLEY_WORKERS, seed=3),
+            5_000,
+            LINDLEY_ARRIVALS[arrival],
+            LINDLEY_SERVICES[service],
+            0.1,
+        )
+        assert_same_run(fast, slow)
+
+    @pytest.mark.parametrize("scheme", QUEUE_BLIND_SCHEMES)
+    @pytest.mark.parametrize("n", [0, 1, 5_000])
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.1])
+    def test_matches_event_path_edges(self, scheme, n, warmup_fraction):
+        fast, slow = lindley_and_event(
+            lambda: make_partitioner(scheme, LINDLEY_WORKERS, seed=3),
+            n,
+            PoissonArrivals(LINDLEY_LAM),
+            ExponentialService(1.0 / LINDLEY_MU),
+            warmup_fraction,
+        )
+        assert_same_run(fast, slow)
+
+    def test_deterministic_cell_has_time_ties(self):
+        # the deterministic x deterministic cell of test_matches_event_path
+        # really exercises ties: a message routed to the worker of its
+        # predecessor arrives at the very float its predecessor departs.
+        n, service = 2_000, 1.0 / LINDLEY_MU
+        keys = np.random.default_rng(5).zipf(1.5, size=n).astype(np.int64) % 500
+        routes = make_partitioner("kg", LINDLEY_WORKERS, seed=3).route_chunk(keys)
+        arrivals = LINDLEY_ARRIVALS["deterministic"].arrival_times(
+            n, np.random.default_rng(0)
+        )
+        ties = (routes[1:] == routes[:-1]) & (arrivals[:-1] + service == arrivals[1:])
+        assert ties.sum() > 100
+
+    def test_timestamps_reach_generic_route_chunk(self):
+        class NowRouter(Partitioner):
+            """Routes by arrival time alone; only ``route`` is defined."""
+
+            def route(self, key, now=0.0):
+                return int(now * 7_919.0) % self.num_workers
+
+        fast, slow = lindley_and_event(
+            lambda: NowRouter(LINDLEY_WORKERS),
+            3_000,
+            PoissonArrivals(LINDLEY_LAM),
+            ExponentialService(1.0 / LINDLEY_MU),
+            0.1,
+        )
+        assert_same_run(fast, slow)
+        # time-driven routing spreads the messages over every worker.
+        assert (fast[0].busy_time > 0).all()
+
+    def test_feedback_and_bounded_runs_keep_the_event_path(self, monkeypatch):
+        import repro.queueing.simulator as simulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("took the Lindley pass")
+
+        monkeypatch.setattr(simulator, "_simulate_lindley", refuse)
+        run(make_partitioner("jbsq", 4), n=500)
+        run(make_partitioner("pkg", 4), n=500, queue_capacity=8)
+        with pytest.raises(AssertionError, match="Lindley"):
+            run(make_partitioner("pkg", 4), n=500)
