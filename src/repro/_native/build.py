@@ -31,6 +31,7 @@ __all__ = ["NativeKernels", "get_kernels", "native_disabled"]
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
+_UINT64_P = ctypes.POINTER(ctypes.c_uint64)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 #: cached load result; False = not attempted yet
@@ -98,6 +99,14 @@ class NativeKernels:
         lib.repro_greedy_route.argtypes = [
             _INT64_P, ctypes.c_int64, ctypes.c_int64, _INT64_P, _INT64_P,
         ]
+        lib.repro_hash_choices.argtypes = [
+            _INT64_P, ctypes.c_int64, _UINT64_P, ctypes.c_int64,
+            ctypes.c_int64, _INT64_P,
+        ]
+        lib.repro_hash_greedy_route.argtypes = [
+            _INT64_P, ctypes.c_int64, _UINT64_P, ctypes.c_int64,
+            ctypes.c_int64, _INT64_P, _INT64_P,
+        ]
         lib.repro_least_loaded.argtypes = [
             ctypes.c_int64, ctypes.c_int64, _INT64_P, _INT64_P,
         ]
@@ -115,6 +124,8 @@ class NativeKernels:
         ]
         for fn in (
             lib.repro_greedy_route,
+            lib.repro_hash_choices,
+            lib.repro_hash_greedy_route,
             lib.repro_least_loaded,
             lib.repro_bind_route,
             lib.repro_interleaved_route,
@@ -123,16 +134,31 @@ class NativeKernels:
             fn.restype = None
 
     @staticmethod
-    def _i64(array: np.ndarray):
-        assert array.dtype == np.int64 and array.flags.c_contiguous
-        return array.ctypes.data_as(_INT64_P)
+    def _pointer(array: np.ndarray, dtype: type, pointer_type):
+        # Explicit checks, not asserts: ``python -O`` must not let a
+        # wrong-dtype or strided array hand C a bad pointer.
+        if not isinstance(array, np.ndarray) or array.dtype != dtype:
+            raise TypeError(
+                f"native kernels need a {np.dtype(dtype)} ndarray, got "
+                f"{getattr(array, 'dtype', type(array).__name__)}"
+            )
+        if not array.flags.c_contiguous:
+            raise ValueError("native kernels need a C-contiguous array")
+        return array.ctypes.data_as(pointer_type)
 
-    @staticmethod
-    def _f64(array: Optional[np.ndarray]):
+    @classmethod
+    def _i64(cls, array: np.ndarray):
+        return cls._pointer(array, np.int64, _INT64_P)
+
+    @classmethod
+    def _u64(cls, array: np.ndarray):
+        return cls._pointer(array, np.uint64, _UINT64_P)
+
+    @classmethod
+    def _f64(cls, array: Optional[np.ndarray]):
         if array is None:
             return None
-        assert array.dtype == np.float64 and array.flags.c_contiguous
-        return array.ctypes.data_as(_DOUBLE_P)
+        return cls._pointer(array, np.float64, _DOUBLE_P)
 
     def greedy_route(
         self, choices: np.ndarray, loads: np.ndarray, out: np.ndarray
@@ -141,6 +167,44 @@ class NativeKernels:
         self._lib.repro_greedy_route(
             self._i64(choices), m, d, self._i64(loads), self._i64(out)
         )
+
+    def hash_choices(
+        self, keys: np.ndarray, mixes: np.ndarray, num_workers: int,
+        out: np.ndarray,
+    ) -> None:
+        """``out[i, j] = splitmix64(keys[i] ^ mixes[j]) % num_workers``."""
+        self._check_hash_args(mixes, num_workers)
+        if out.shape != (keys.size, mixes.size):
+            raise ValueError(
+                f"out has shape {out.shape}, expected "
+                f"{(keys.size, mixes.size)}"
+            )
+        self._lib.repro_hash_choices(
+            self._i64(keys), keys.size, self._u64(mixes), mixes.size,
+            num_workers, self._i64(out),
+        )
+
+    def hash_greedy_route(
+        self, keys: np.ndarray, mixes: np.ndarray, loads: np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        """Fused hash + Greedy-d over ``loads.size`` workers."""
+        self._check_hash_args(mixes, loads.size)
+        if out.size != keys.size:
+            raise ValueError(f"out has {out.size} slots for {keys.size} keys")
+        self._lib.repro_hash_greedy_route(
+            self._i64(keys), keys.size, self._u64(mixes), mixes.size,
+            loads.size, self._i64(loads), self._i64(out),
+        )
+
+    @staticmethod
+    def _check_hash_args(mixes: np.ndarray, num_workers: int) -> None:
+        # A zero bucket count would be a SIGFPE in C, and an empty
+        # family would read past the mixes.
+        if num_workers < 1:
+            raise ValueError(f"bucket count must be >= 1, got {num_workers}")
+        if mixes.size < 1:
+            raise ValueError("hash kernels need at least one seed mix")
 
     def least_loaded(self, m: int, loads: np.ndarray, out: np.ndarray) -> None:
         self._lib.repro_least_loaded(

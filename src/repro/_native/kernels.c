@@ -1,9 +1,11 @@
 /* Routing kernels for the chunked execution core.
  *
- * Each kernel is the exact C transliteration of a pure-Python chunk
- * loop in repro.core.engine / repro.partitioning: same iteration
+ * Each routing kernel is the exact C transliteration of a pure-Python
+ * chunk loop in repro.core.engine / repro.partitioning: same iteration
  * order, same strict-less argmin with ties to the earliest candidate,
- * same load updates.  Equivalence is enforced by
+ * same load updates.  The hash kernels' reference is numpy
+ * splitmix64_array (repro.hashing.murmur) over the keys' uint64 bit
+ * pattern, reduced modulo the bucket count.  Equivalence is enforced by
  * tests/test_native_kernels.py and tests/test_route_chunk_equivalence.py.
  *
  * Compiled on demand by repro._native.build via the system C compiler;
@@ -13,9 +15,27 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Greedy-d routing (PKG / ch-pkg inner loop): each message goes to the
- * least-loaded of its d candidate workers; ties break to the earliest
- * candidate; the chosen worker's load is incremented immediately. */
+/* splitmix64 finaliser, identical to repro.hashing.murmur.splitmix64. */
+static inline uint64_t repro_splitmix64(uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
+
+/* Branch-free select: a when take is 1, b when it is 0.  The choice
+ * between hashed candidates is a coin flip to the branch predictor, so
+ * the argmin steps below never branch on a load comparison. */
+static inline int64_t repro_select(int64_t take, int64_t a, int64_t b)
+{
+    return b ^ ((a ^ b) & -take);
+}
+
+/* Greedy-d routing (ch-pkg and string-keyed PKG inner loop): each
+ * message goes to the least-loaded of its d candidate workers; ties
+ * break to the earliest candidate; the chosen worker's load is
+ * incremented immediately. */
 void repro_greedy_route(const int64_t *choices, int64_t m, int64_t d,
                         int64_t *loads, int64_t *out)
 {
@@ -25,10 +45,53 @@ void repro_greedy_route(const int64_t *choices, int64_t m, int64_t d,
         int64_t best_load = loads[best];
         for (int64_t j = 1; j < d; j++) {
             int64_t c = cand[j];
-            if (loads[c] < best_load) {
-                best = c;
-                best_load = loads[c];
-            }
+            int64_t load = loads[c];
+            int64_t take = load < best_load;
+            best = repro_select(take, c, best);
+            best_load = repro_select(take, load, best_load);
+        }
+        loads[best] += 1;
+        out[i] = best;
+    }
+}
+
+/* The hash half of the fused kernel: the (m, d) candidate matrix
+ * out[i * d + j] = splitmix64(key_i ^ mixes[j]) % num_workers, where
+ * mixes[j] is hash function j's pre-mixed seed.  With d = 1 these are
+ * key grouping's buckets. */
+void repro_hash_choices(const int64_t *keys, int64_t m,
+                        const uint64_t *mixes, int64_t d,
+                        int64_t num_workers, int64_t *out)
+{
+    const uint64_t n = (uint64_t)num_workers;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t key = (uint64_t)keys[i];
+        int64_t *row = out + i * d;
+        for (int64_t j = 0; j < d; j++)
+            row[j] = (int64_t)(repro_splitmix64(key ^ mixes[j]) % n);
+    }
+}
+
+/* Fused Greedy-d over integer keys (PKG / JBSQ): hash each key d times
+ * as repro_hash_choices does, pick the least-loaded candidate as
+ * repro_greedy_route does, and count the send -- one pass, without
+ * materialising the candidate matrix. */
+void repro_hash_greedy_route(const int64_t *keys, int64_t m,
+                             const uint64_t *mixes, int64_t d,
+                             int64_t num_workers, int64_t *loads,
+                             int64_t *out)
+{
+    const uint64_t n = (uint64_t)num_workers;
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t key = (uint64_t)keys[i];
+        int64_t best = (int64_t)(repro_splitmix64(key ^ mixes[0]) % n);
+        int64_t best_load = loads[best];
+        for (int64_t j = 1; j < d; j++) {
+            int64_t c = (int64_t)(repro_splitmix64(key ^ mixes[j]) % n);
+            int64_t load = loads[c];
+            int64_t take = load < best_load;
+            best = repro_select(take, c, best);
+            best_load = repro_select(take, load, best_load);
         }
         loads[best] += 1;
         out[i] = best;

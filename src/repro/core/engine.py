@@ -63,6 +63,7 @@ __all__ = [
     "simulate_multisource_pkg",
     "route_chunked",
     "greedy_route_chunk",
+    "hashed_greedy_route_chunk",
     "least_loaded_chunk",
     "bind_route_chunk",
     "InterleavedRouter",
@@ -108,6 +109,29 @@ def greedy_route_chunk(choices: np.ndarray, loads: np.ndarray) -> np.ndarray:
             view[best] += 1
             out[i] = best
     loads[:] = view
+    return out
+
+
+def hashed_greedy_route_chunk(
+    family: HashFamily, keys: KeyStream, loads: np.ndarray
+) -> np.ndarray:
+    """Hash ``keys`` with ``family`` and route them Greedy-d over ``loads``.
+
+    The candidates of each key are its ``family`` buckets among the
+    ``loads.size`` workers.  Integer keys take the fused native kernel
+    when it is available: hash, choose and count in one pass, without
+    materialising the ``(m, d)`` candidate matrix.  Any other keys (or
+    ``REPRO_NO_NATIVE``) go through :func:`hashed_choices` and
+    :func:`greedy_route_chunk`; both paths are decision-identical.
+    """
+    arr = as_key_array(keys)
+    kernels = get_kernels()
+    if kernels is None or not np.issubdtype(arr.dtype, np.integer):
+        return greedy_route_chunk(hashed_choices(family, arr, loads.size), loads)
+    # int64 has the bit pattern the numpy path's astype(np.uint64) hashes.
+    keys64 = np.ascontiguousarray(arr, dtype=np.int64)
+    out = np.empty(keys64.size, dtype=np.int64)
+    kernels.hash_greedy_route(keys64, family.mixes, loads, out)
     return out
 
 

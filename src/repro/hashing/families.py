@@ -9,13 +9,37 @@ hash reduced modulo the number of workers, exactly as in the paper's
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._native import get_kernels
 from repro.hashing.murmur import murmur2_64a, splitmix64, splitmix64_array
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _check_bucket_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"bucket count must be >= 1, got {n}")
+
+
+def _native_choice_matrix(
+    keys: np.ndarray, mixes: np.ndarray, n: int
+) -> Optional[np.ndarray]:
+    """The ``(keys.size, mixes.size)`` bucket matrix from the native
+    hash kernel, or None when the kernels are unavailable or the keys
+    are not integers (callers then take the numpy ``splitmix64_array``
+    path).  The kernel reads the keys as int64: the same bit pattern as
+    the numpy path's ``astype(np.uint64)`` for every integer dtype.
+    """
+    kernels = get_kernels()
+    if kernels is None or not np.issubdtype(keys.dtype, np.integer):
+        return None
+    keys64 = np.ascontiguousarray(keys, dtype=np.int64).reshape(-1)
+    out = np.empty((keys64.size, mixes.size), dtype=np.int64)
+    kernels.hash_choices(keys64, mixes, int(n), out)
+    return out
 
 
 def key_to_bytes(key) -> bytes:
@@ -66,6 +90,12 @@ class HashFunction:
 
     def bucket_array(self, keys: np.ndarray, n: int) -> np.ndarray:
         """Vectorized :meth:`bucket` of an integer key array (int64)."""
+        _check_bucket_count(n)
+        keys = np.asarray(keys)
+        mixes = np.array([self._seed_mix], dtype=np.uint64)
+        native = _native_choice_matrix(keys, mixes, n)
+        if native is not None:
+            return native.reshape(keys.shape)
         return (self.hash_array(keys) % np.uint64(n)).astype(np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -89,7 +119,7 @@ class HashFamily:
         independent.
     """
 
-    __slots__ = ("size", "seed", "_functions", "_seed_mixes")
+    __slots__ = ("size", "seed", "_functions", "_seed_mixes", "mixes")
 
     def __init__(self, size: int = 2, seed: int = 0):
         if size < 1:
@@ -107,10 +137,13 @@ class HashFamily:
 
     @functions.setter
     def functions(self, functions: Tuple[HashFunction, ...]) -> None:
-        # choices() reads the members' seed mixes from here, so keep the
-        # two in step whenever the members are replaced.
+        # choices() and the native kernels read the members' seed mixes
+        # from here, so keep them in step whenever the members are
+        # replaced.
         self._functions = tuple(functions)
         self._seed_mixes = tuple(f._seed_mix for f in self._functions)
+        #: the members' pre-mixed seeds, as the native kernels take them.
+        self.mixes = np.array(self._seed_mixes, dtype=np.uint64)
 
     def __len__(self) -> int:
         return self.size
@@ -138,9 +171,15 @@ class HashFamily:
 
         Only valid for integer key arrays; this is the fast path used by
         the simulation harness to hoist hashing out of the sequential
-        routing loop.
+        routing loop.  One native pass when the kernels are available,
+        else one numpy ``splitmix64_array`` column per function.
         """
+        _check_bucket_count(n)
         keys = np.asarray(keys)
+        if keys.ndim == 1:
+            native = _native_choice_matrix(keys, self.mixes, n)
+            if native is not None:
+                return native
         cols = [f.bucket_array(keys, n) for f in self.functions]
         return np.stack(cols, axis=1)
 

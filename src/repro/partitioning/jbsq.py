@@ -30,7 +30,7 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.registry import register
-from repro.core.engine import greedy_route_chunk
+from repro.core.engine import hashed_greedy_route_chunk
 from repro.hashing import HashFamily
 from repro.partitioning.base import Partitioner
 
@@ -115,7 +115,7 @@ class JoinBoundedShortestQueue(Partitioner):
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        """Vectorised replay path: hash the counter range, then Greedy-d.
+        """Vectorised replay path: Greedy-d over the hashed counter range.
 
         No completions can happen inside a chunk (replay has no
         departure events), so routing the whole chunk through the
@@ -125,8 +125,7 @@ class JoinBoundedShortestQueue(Partitioner):
         m = int(np.asarray(keys).size)
         counters = np.arange(self._counter, self._counter + m, dtype=np.int64)
         self._counter += m
-        choices = self.family.choice_matrix(counters, self.num_workers)
-        return greedy_route_chunk(choices, self.outstanding)
+        return hashed_greedy_route_chunk(self.family, counters, self.outstanding)
 
     def reset(self) -> None:
         self.outstanding[:] = 0

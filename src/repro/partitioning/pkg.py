@@ -26,8 +26,7 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.registry import register
-from repro.core.chunks import hashed_choices
-from repro.core.engine import greedy_route_chunk
+from repro.core.engine import hashed_greedy_route_chunk
 from repro.hashing import HashFamily
 from repro.partitioning.base import Partitioner
 
@@ -83,16 +82,16 @@ class PartialKeyGrouping(Partitioner):
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        """Route one chunk with hashing hoisted out of the loop.
+        """Route one chunk with hashing hoisted out of the per-key loop.
 
-        The d hash columns are precomputed for the whole chunk (fully
-        vectorised for integer keys, once per *distinct* key
-        otherwise); the remaining per-key argmin over the d candidate
-        loads runs in the Greedy-d chunk kernel.  ``timestamps`` is
-        ignored: the estimate is a pure send count.
+        Integer keys are hashed, chosen and counted in one native pass;
+        otherwise the d hash columns are precomputed for the whole chunk
+        (vectorised for integer keys, once per *distinct* key
+        otherwise) and the per-key argmin over the d candidate loads
+        runs in the Greedy-d chunk kernel.  ``timestamps`` is ignored:
+        the estimate is a pure send count.
         """
-        choices = hashed_choices(self.family, keys, self.num_workers)
-        return greedy_route_chunk(choices, self.loads)
+        return hashed_greedy_route_chunk(self.family, keys, self.loads)
 
     def __repr__(self) -> str:
         return (

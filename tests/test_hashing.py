@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._native import get_kernels
 from repro.hashing import (
     HashFamily,
     HashFunction,
@@ -225,3 +226,46 @@ class TestIntegerFastPath:
         family.functions = (HashFunction(11), HashFunction(22))
         key, n = 12345, 97
         assert family.choices(key, n) == tuple(HashFunction(s)(key) % n for s in (11, 22))
+
+    def test_reassigned_functions_refresh_the_native_mixes(self):
+        family = HashFamily(size=2, seed=1)
+        family.functions = (HashFunction(11), HashFunction(22))
+        keys = np.arange(-50, 50, dtype=np.int64)
+        expected = [
+            tuple(HashFunction(s)(int(k)) % 97 for s in (11, 22)) for k in keys
+        ]
+        assert [tuple(row) for row in family.choice_matrix(keys, 97)] == expected
+
+
+@pytest.fixture(params=["native", "numpy"])
+def hash_backend(request, monkeypatch):
+    """Run a test on the native hash kernels and on the numpy reference."""
+    if request.param == "numpy":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    elif get_kernels() is None:
+        pytest.skip("native kernels unavailable")
+    return request.param
+
+
+class TestBucketCount:
+    """A bucket count below 1 is an error on every path, never a result."""
+
+    KEYS = np.arange(10, dtype=np.int64)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_choice_matrix_rejects(self, hash_backend, n):
+        with pytest.raises(ValueError, match="bucket count"):
+            HashFamily(size=2, seed=3).choice_matrix(self.KEYS, n)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_bucket_array_rejects(self, hash_backend, n):
+        with pytest.raises(ValueError, match="bucket count"):
+            HashFunction(3).bucket_array(self.KEYS, n)
+
+    def test_empty_keys_still_rejected(self, hash_backend):
+        with pytest.raises(ValueError, match="bucket count"):
+            HashFamily(size=1).choice_matrix(np.empty(0, dtype=np.int64), 0)
+
+    def test_one_bucket_is_all_zeros(self, hash_backend):
+        assert not HashFamily(size=3).choice_matrix(self.KEYS, 1).any()
+        assert not HashFunction(9).bucket_array(self.KEYS, 1).any()

@@ -114,3 +114,37 @@ def test_chunk_replay_reproduces_straggler_cluster_routing(scheme):
     fresh = make_partitioner(scheme, 4, seed=9)
     replayed = route_chunked(np.array(recorder.keys), fresh, chunk_size=97)
     assert np.array_equal(replayed, np.array(recorder.assignments))
+
+
+@pytest.mark.parametrize("scheme", ["pkg", "jbsq"])
+@pytest.mark.parametrize("backend", ["native", "python"])
+def test_masked_route_chunk_matches_route_across_chunks(
+    monkeypatch, scheme, backend
+):
+    """A worker masked mid-stream: chunks still equal per-message route.
+
+    The chunk after the mask crosses a chunk boundary, so the masked
+    load slot must carry over between fused-kernel calls.
+    """
+    if backend == "python":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    keys = zipf_keys(8_000)
+    dead = 2
+    chunked = make_partitioner(scheme, 5, seed=4)
+    single = make_partitioner(scheme, 5, seed=4)
+    routed, reference = [], []
+    for start, stop in ((0, 1_000), (1_000, 2_500), (2_500, 3_500), (3_500, 8_000)):
+        if start == 2_500:
+            chunked.mask_worker(dead)
+            single.mask_worker(dead)
+        routed.append(chunked.route_chunk(keys[start:stop]))
+        reference.append(np.array([single.route(k) for k in keys[start:stop]]))
+    assert np.array_equal(np.concatenate(routed), np.concatenate(reference))
+
+    after = np.concatenate(routed[2:])
+    assert dead not in chunked.remap_masked(after)
+    if scheme == "pkg":
+        # The masked load slot steers every key with a live candidate away.
+        for key, worker in zip(keys[2_500:], after):
+            if worker == dead:
+                assert set(chunked.candidates(key)) == {dead}
