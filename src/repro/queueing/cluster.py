@@ -25,6 +25,14 @@ Spouts, workers and the aggregator are per-index lists and closures
 over one loop, not objects: a run is one function call.  Everything is
 seeded, and ties in time break by scheduling order, so a run is a pure
 function of ``(config, distribution, partitioners, cpu_delays)``.
+
+Those closures are the reference.  A single-spout cluster over a
+:class:`~repro.streams.distributions.KeyDistribution` -- every fig5
+cell -- runs the same events in ``repro_wordcount``, the C event loop
+of :mod:`repro._native`, when the kernels are built.  It routes each
+drawn key batch with one ``route_chunk``, keeps dense per-worker
+counters, and hands its sojourns to :meth:`LatencyStats.extend`; its
+metrics and state are bit-identical to the closures'.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -47,11 +56,12 @@ from typing import (
 
 import numpy as np
 
+from repro._native import NativeKernels, get_kernels
 from repro.core.engine import EventLoop
+from repro.streams.distributions import KeyDistribution
 
 if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
-    from repro.streams.distributions import KeyDistribution
 
 __all__ = [
     "ClusterConfig",
@@ -71,6 +81,9 @@ _KEY_BATCH = 16384
 
 #: post-fill samples :class:`LatencyStats` buffers per batched slot draw.
 _DRAW_BATCH = 4096
+
+#: bound of the C event loop's int32 counters and key ids.
+_INT32_MAX = 2**31 - 1
 
 
 class LatencyStats:
@@ -107,6 +120,44 @@ class LatencyStats:
             self._pending.append(value)
             if len(self._pending) >= _DRAW_BATCH:
                 self._draw()
+
+    def extend(self, values: Sequence[float]) -> None:
+        """:meth:`record` each of ``values`` in order, in bulk.
+
+        Count, mean, max and reservoir come out exactly as from one
+        :meth:`record` per value: the running mean keeps its recurrence
+        (in C when the native kernels are built), and the slot draws
+        keep their :data:`_DRAW_BATCH` boundaries.
+        """
+        values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+        n = int(values.size)
+        if not n:
+            return
+        kernels = get_kernels()
+        if kernels is not None:
+            self.mean, self.max = kernels.running_stats(
+                values, self.count, self.mean, self.max
+            )
+        else:
+            count, mean, maximum = self.count, self.mean, self.max
+            for value in values.tolist():
+                count += 1
+                mean += (value - mean) / count
+                if value > maximum:
+                    maximum = value
+            self.mean, self.max = mean, maximum
+        base = self.count
+        pos = min(n, self._reservoir_size - len(self._reservoir))
+        self._reservoir.extend(values[:pos].tolist())
+        pending = self._pending
+        while pos < n:
+            take = min(n - pos, _DRAW_BATCH - len(pending))
+            pending.extend(values[pos : pos + take].tolist())
+            pos += take
+            if len(pending) >= _DRAW_BATCH:
+                self.count = base + pos
+                self._draw()
+        self.count = base + n
 
     def _draw(self) -> None:
         """Apply the buffered samples: sample ``c`` replaces slot ``j``
@@ -269,7 +320,7 @@ class ClusterState:
 
 def simulate_wordcount(
     config: ClusterConfig,
-    distribution: "KeyDistribution",
+    distribution: KeyDistribution,
     partitioners: Sequence["Partitioner"],
     cpu_delays: Sequence[float],
     scheme: str,
@@ -280,25 +331,195 @@ def simulate_wordcount(
     service time per worker; ``scheme`` labels the metrics.  All
     spouts draw from one key sequence, sampled from ``distribution``
     with ``config.seed``.
+
+    A single-spout cluster over a :class:`KeyDistribution` runs in the
+    C event loop of :mod:`repro._native` when the kernels are built;
+    every other run -- several spouts, another key source, or
+    ``REPRO_NO_NATIVE=1`` -- runs the closures over
+    :class:`~repro.core.engine.EventLoop`.  Both give bit-identical
+    metrics and state.
     """
+    latency = LatencyStats(seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    kernels = _wordcount_kernels(config, distribution)
+    if kernels is not None:
+        run = _run_native(
+            kernels, config, distribution, rng, partitioners[0], cpu_delays, latency
+        )
+    else:
+        run = _run_closures(
+            config, distribution, rng, partitioners, cpu_delays, latency
+        )
+    # One latency record per post-warmup completion.
+    completed = latency.count
+    metrics = RunMetrics(
+        scheme=scheme.upper(),
+        cpu_delay=config.cpu_delay,
+        duration=config.duration,
+        warmup=config.warmup,
+        emitted=sum(run.state.emitted),
+        completed=completed,
+        throughput=completed / (config.duration - config.warmup),
+        latency=latency,
+        average_memory_counters=(
+            run.memory_sum / run.memory_samples if run.memory_samples else 0.0
+        ),
+        peak_memory_counters=run.memory_peak,
+        aggregation_messages=run.received,
+        worker_loads=run.processed,
+    )
+    return metrics, run.state
+
+
+class _Run(NamedTuple):
+    """What either simulator hands back besides the latency stats."""
+
+    state: ClusterState
+    processed: List[int]
+    received: int
+    memory_samples: int
+    memory_sum: float
+    memory_peak: int
+
+
+def _routed_batches(
+    distribution: KeyDistribution, rng: np.random.Generator, partitioner: "Partitioner"
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """A single spout's keys and their workers, one ``_KEY_BATCH`` at a
+    time.  No registered scheme reads the emit time, so routing a batch
+    as it is drawn decides what per-tuple ``route()`` would.
+
+    A ``route`` replaced on the partitioner instance -- a tracer or a
+    recorder wrapping it -- is called once per key instead of
+    ``route_chunk``, so the wrapper still sees every decision.
+    """
+    route = _instance_route(partitioner)
+    while True:
+        keys = distribution.sample(_KEY_BATCH, rng)
+        if route is None:
+            yield keys, partitioner.route_chunk(keys)
+        else:
+            yield keys, np.array([route(k) for k in keys.tolist()], dtype=np.int64)
+
+
+def _instance_route(partitioner: "Partitioner") -> Optional[Callable[..., int]]:
+    """``partitioner.route`` if the instance replaces its class's, else None."""
+    route = getattr(partitioner, "__dict__", {}).get("route")
+    if route is None:
+        return None
+    if getattr(route, "__self__", None) is partitioner and getattr(
+        route, "__func__", None
+    ) is getattr(type(partitioner), "route", None):
+        return None  # the instance's own bound method, stored back
+    return route
+
+
+def _wordcount_kernels(
+    config: ClusterConfig, distribution: KeyDistribution
+) -> Optional[NativeKernels]:
+    """The native kernels if this run can take the C event loop.
+
+    It needs one spout (several share one key sequence in emit order,
+    so their routes cannot be computed ahead) and keys that are dense
+    int64 ranks, which :meth:`KeyDistribution.sample` guarantees.  The
+    kernel's per-worker counters are int32, which every run whose
+    emits fit in them can use.
+    """
+    if config.num_spouts != 1 or not isinstance(distribution, KeyDistribution):
+        return None
+    if type(distribution).sample is not KeyDistribution.sample:
+        return None
+    if config.duration / config.emit_cost >= _INT32_MAX or (
+        distribution.num_keys > _INT32_MAX
+    ):
+        return None
+    return get_kernels()
+
+
+def _run_native(
+    kernels: NativeKernels,
+    config: ClusterConfig,
+    distribution: KeyDistribution,
+    rng: np.random.Generator,
+    partitioner: "Partitioner",
+    cpu_delays: Sequence[float],
+    latency: LatencyStats,
+) -> _Run:
+    """The C event loop, fed one routed key batch at a time."""
+    run = kernels.wordcount(
+        cpu_delays,
+        distribution.num_keys,
+        config.max_pending,
+        emit_cost=config.emit_cost,
+        hop=config.network_delay,
+        period=config.aggregation_period,
+        entry_cost=config.flush_entry_cost,
+        warmup=config.warmup,
+        duration=config.duration,
+        sample_period=MEMORY_SAMPLE_PERIOD,
+    )
+    run.run(_routed_batches(distribution, rng, partitioner).__next__, latency.extend)
+    s = run.state
+    return _Run(
+        ClusterState(
+            [s.emitted],
+            [s.in_flight],
+            [_as_dict(*live) for live in run.live_counters()],
+            _as_dict(*run.totals()),
+        ),
+        run.processed,
+        s.received,
+        s.mem_samples,
+        s.mem_sum,
+        s.mem_peak,
+    )
+
+
+def _as_dict(keys: np.ndarray, counts: np.ndarray) -> Dict[int, int]:
+    return dict(zip(keys.tolist(), counts.tolist()))
+
+
+def _run_closures(
+    config: ClusterConfig,
+    distribution: KeyDistribution,
+    rng: np.random.Generator,
+    partitioners: Sequence["Partitioner"],
+    cpu_delays: Sequence[float],
+    latency: LatencyStats,
+) -> _Run:
+    """The reference simulator: closures over one :class:`EventLoop`."""
     loop = EventLoop()
     schedule = loop.schedule
-    latency = LatencyStats(seed=config.seed)
     warmup, hop = config.warmup, config.network_delay
     num_spouts, num_workers = config.num_spouts, config.num_workers
     emit_cost = config.emit_cost * num_spouts
     window = config.max_pending // num_spouts
     period, entry_cost = config.aggregation_period, config.flush_entry_cost
 
-    rng = np.random.default_rng(config.seed)
+    if num_spouts == 1:
+        routed = (
+            pair
+            for keys, workers in _routed_batches(distribution, rng, partitioners[0])
+            for pair in zip(keys.tolist(), workers.tolist())
+        )
 
-    def key_batches() -> Iterator[int]:
-        while True:
-            yield from distribution.sample(_KEY_BATCH, rng).tolist()
+        def draw(spout: int, now: float) -> Tuple[int, int]:
+            return next(routed)
 
-    keys = key_batches()
+    else:
+        # Spouts interleave on one key sequence, so each routes its
+        # tuple as it emits it.
+        def key_batches() -> Iterator[int]:
+            while True:
+                yield from distribution.sample(_KEY_BATCH, rng).tolist()
 
-    routes = [p.route for p in partitioners]
+        keys = key_batches()
+        routes = [p.route for p in partitioners]
+
+        def draw(spout: int, now: float) -> Tuple[int, int]:
+            key = next(keys)
+            return key, routes[spout](key, now)
+
     emitting = [False] * num_spouts
     emitted = [0] * num_spouts
     in_flight = [0] * num_spouts
@@ -324,9 +545,8 @@ def simulate_wordcount(
 
     def finish_emit(spout: int) -> None:
         emitting[spout] = False
-        key = next(keys)
         now = loop.now
-        worker = routes[spout](key, now)
+        key, worker = draw(spout, now)
         in_flight[spout] += 1
         emitted[spout] += 1
         tup = (key, now, spout)
@@ -411,25 +631,14 @@ def simulate_wordcount(
         try_emit(s)
     loop.run_until(config.duration)
 
-    # One latency record per post-warmup completion.
-    completed = latency.count
-    metrics = RunMetrics(
-        scheme=scheme.upper(),
-        cpu_delay=config.cpu_delay,
-        duration=config.duration,
-        warmup=warmup,
-        emitted=sum(emitted),
-        completed=completed,
-        throughput=completed / (config.duration - warmup),
-        latency=latency,
-        average_memory_counters=(
-            memory_sum / memory_samples if memory_samples else 0.0
-        ),
-        peak_memory_counters=memory_peak,
-        aggregation_messages=received,
-        worker_loads=processed,
+    return _Run(
+        ClusterState(emitted, in_flight, counts, totals),
+        processed,
+        received,
+        memory_samples,
+        memory_sum,
+        memory_peak,
     )
-    return metrics, ClusterState(emitted, in_flight, counts, totals)
 
 
 class WordCountCluster:
@@ -438,7 +647,7 @@ class WordCountCluster:
     def __init__(
         self,
         scheme: str,
-        distribution: "KeyDistribution",
+        distribution: KeyDistribution,
         config: Optional[ClusterConfig] = None,
         partitioner: Optional["Partitioner"] = None,
         partitioner_factory: Optional[Callable[[int], "Partitioner"]] = None,
@@ -519,7 +728,7 @@ class WordCountCluster:
 
 def run_wordcount(
     scheme: str,
-    distribution: "KeyDistribution",
+    distribution: KeyDistribution,
     config: Optional[ClusterConfig] = None,
     partitioner: Optional["Partitioner"] = None,
     **cluster_kwargs: Any,

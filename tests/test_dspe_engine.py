@@ -170,6 +170,66 @@ class TestBatchedReservoir:
         self.assert_same(batched, scalar)
 
 
+LENGTHS = [0, 1, 4095, 4096, 4097, 3 * 4096 + 7]
+
+
+class TestBulkReservoirFill:
+    """``LatencyStats.extend`` against one ``record()`` per value, on the
+    native running-mean kernel and on its Python loop."""
+
+    QS = (0, 1, 50, 99, 100)
+
+    @pytest.fixture(params=["native", "python"])
+    def backend(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        return request.param
+
+    def assert_same(self, bulk, single):
+        assert (bulk.count, bulk.mean, bulk.max) == (
+            single.count,
+            single.mean,
+            single.max,
+        )
+        assert bulk._reservoir == single._reservoir
+        assert bulk._pending == single._pending
+        assert [bulk.percentile(q) for q in self.QS] == [
+            single.percentile(q) for q in self.QS
+        ]
+        # ... and again once the percentiles have drawn pending slots.
+        assert bulk._reservoir == single._reservoir
+
+    @pytest.mark.parametrize("size", [1, 100, 4096])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_extend_matches_record(self, backend, size, n):
+        values = np.random.default_rng(size + n).exponential(1.0, size=n)
+        bulk, single = LatencyStats(size, seed=9), LatencyStats(size, seed=9)
+        bulk.extend(values)
+        for v in values.tolist():
+            single.record(v)
+        self.assert_same(bulk, single)
+
+    @pytest.mark.parametrize("size", [100, 4096])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_extend_on_partly_filled_reservoir(self, backend, size, n):
+        # Records first (the reservoir part full, or full with samples
+        # pending), a percentile, the bulk fill, then a percentile again.
+        head = np.random.default_rng(1).exponential(2.0, size=size // 2 + 3)
+        more = np.random.default_rng(2).exponential(1.0, size=5000)
+        values = np.random.default_rng(n).exponential(1.0, size=n)
+        for prefix in (head, np.concatenate([head, more])):
+            bulk, single = LatencyStats(size, seed=4), LatencyStats(size, seed=4)
+            for v in prefix.tolist():
+                bulk.record(v)
+                single.record(v)
+            assert bulk.percentile(50) == single.percentile(50)
+            bulk.extend(values[: n // 3])
+            bulk.extend(values[n // 3 :])
+            for v in values.tolist():
+                single.record(v)
+            self.assert_same(bulk, single)
+
+
 def one_worker(scheme="sg", keys=1, **overrides):
     """A one-worker cluster on ``keys`` uniform keys, zero hop delay."""
     config = dict(

@@ -69,7 +69,7 @@ def test_chunked_matches_per_message_with_timestamps(scheme):
 
 
 class _RecordingPartitioner:
-    """Wraps a partitioner, recording every per-message decision."""
+    """Wraps a partitioner, recording every chunk decision it makes."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -77,11 +77,11 @@ class _RecordingPartitioner:
         self.keys = []
         self.assignments = []
 
-    def route(self, key, now: float = 0.0) -> int:
-        worker = self.inner.route(key, now)
-        self.keys.append(key)
-        self.assignments.append(worker)
-        return worker
+    def route_chunk(self, keys, timestamps=None):
+        workers = self.inner.route_chunk(keys, timestamps)
+        self.keys.extend(np.asarray(keys).tolist())
+        self.assignments.extend(workers.tolist())
+        return workers
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -89,9 +89,9 @@ class _RecordingPartitioner:
 
 @pytest.mark.parametrize("scheme", ["kg", "pkg", "pkg:d=3"])
 def test_chunk_replay_reproduces_straggler_cluster_routing(scheme):
-    """DSPE equivalence, failure topologies included: replaying the key
-    sequence a straggling heterogeneous cluster actually emitted through
-    route_chunk reproduces the cluster's routing decisions exactly."""
+    """DSPE equivalence, failure topologies included: the key batches a
+    straggling heterogeneous cluster routed, replayed through a fresh
+    partitioner in other chunk sizes, get the cluster's decisions."""
     config = ClusterConfig(
         num_workers=4,
         duration=2.0,
