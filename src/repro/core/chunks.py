@@ -36,6 +36,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
+from repro.hashing.families import canonical_keys
+
 if TYPE_CHECKING:
     from repro.hashing.families import HashFamily, HashFunction
 
@@ -133,22 +135,6 @@ class ChunkSource(ABC):
                 return
             yield chunk
 
-    def fork(self) -> "ChunkSource":
-        """An independent, rewound copy emitting the identical stream.
-
-        Restart recovery replays a dead worker's span from the stream
-        start *while the main pass may still be mid-iteration on this
-        object*, so the replay must not share ``_emitted`` (or any
-        subclass state) with it.  The default deep-copies; subclasses
-        wrapping large immutable buffers override to share them
-        (:class:`ArrayChunkSource`).
-        """
-        import copy
-
-        clone = copy.deepcopy(self)
-        clone.reset()
-        return clone
-
     def materialize(self) -> np.ndarray:
         """The whole stream as one array (tests / small streams only)."""
         parts = list(self.chunks())
@@ -183,25 +169,6 @@ class ArrayChunkSource(ChunkSource):
     def sample_chunk(self, size: int, rng: np.random.Generator) -> np.ndarray:
         start = self._emitted
         return self._keys[start : start + size]
-
-    def fork(self) -> "ArrayChunkSource":
-        """A rewound copy sharing the (immutable-by-contract) key array."""
-        return ArrayChunkSource(
-            self._keys, seed=self.seed, chunk_size=self.chunk_size
-        )
-
-
-def fork_source(keys: StreamLike) -> StreamLike:
-    """An input safe to iterate concurrently with the original pass.
-
-    Arrays are returned as-is (slicing is stateless); a
-    :class:`ChunkSource` is forked so the replay's fresh pass cannot
-    corrupt the main pass's position.  Both emit byte-identical streams
-    -- the property deterministic restart recovery rests on.
-    """
-    if isinstance(keys, ChunkSource):
-        return keys.fork()
-    return keys
 
 
 def stream_length(keys: StreamLike) -> int:
@@ -331,8 +298,13 @@ def factorize(keys: KeyStream) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def encode_keys(keys: KeyStream) -> EncodedKeys:
-    """Factorise ``keys`` into int64 codes (identity for integer keys)."""
-    arr = as_key_array(keys)
+    """Factorise ``keys`` into int64 codes (identity for integer keys).
+
+    Bool and float keys are integers here too: their
+    :func:`~repro.hashing.families.canonical_keys` form, which is what
+    the hash functions see per key.
+    """
+    arr = canonical_keys(as_key_array(keys))
     if np.issubdtype(arr.dtype, np.integer):
         return EncodedKeys(codes=arr.astype(np.int64, copy=False), unique=None)
     unique, inverse = np.unique(arr, return_inverse=True)

@@ -48,7 +48,7 @@ from repro.core.chunks import (
     stream_length,
 )
 from repro.core.metrics import StreamingLoadSeries
-from repro.hashing import HashFamily, HashFunction
+from repro.hashing import HashFamily, HashFunction, canonical_keys
 
 if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
@@ -124,7 +124,7 @@ def hashed_greedy_route_chunk(
     ``REPRO_NO_NATIVE``) go through :func:`hashed_choices` and
     :func:`greedy_route_chunk`; both paths are decision-identical.
     """
-    arr = as_key_array(keys)
+    arr = canonical_keys(as_key_array(keys))
     kernels = get_kernels()
     if kernels is None or not np.issubdtype(arr.dtype, np.integer):
         return greedy_route_chunk(hashed_choices(family, arr, loads.size), loads)

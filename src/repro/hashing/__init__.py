@@ -14,7 +14,13 @@ the probability of collision" (Section V-B); we provide:
 """
 
 from repro.hashing.murmur import murmur2_64a, splitmix64, splitmix64_array
-from repro.hashing.families import HashFamily, HashFunction, key_to_bytes
+from repro.hashing.families import (
+    HashFamily,
+    HashFunction,
+    canonical_key,
+    canonical_keys,
+    key_to_bytes,
+)
 
 __all__ = [
     "murmur2_64a",
@@ -22,5 +28,7 @@ __all__ = [
     "splitmix64_array",
     "HashFamily",
     "HashFunction",
+    "canonical_key",
+    "canonical_keys",
     "key_to_bytes",
 ]

@@ -9,6 +9,7 @@ hash reduced modulo the number of workers, exactly as in the paper's
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,19 +43,50 @@ def _native_choice_matrix(
     return out
 
 
+def canonical_key(key):
+    """The value ``key`` is hashed as, on every routing path.
+
+    Booleans become ints, and Python and numpy floats the IEEE-754 bits
+    of their float64 value as a signed int (``-0.0`` hashes as ``0.0``);
+    anything else is returned unchanged.  :func:`canonical_keys` is the
+    array form, so ``route(key)`` and ``route_chunk`` agree on a key
+    whatever its type.
+    """
+    if isinstance(key, (bool, np.bool_)):
+        return int(key)
+    if isinstance(key, (float, np.floating)):
+        return int(np.float64(float(key) + 0.0).view(np.int64))
+    return key
+
+
+def canonical_keys(keys: np.ndarray) -> np.ndarray:
+    """:func:`canonical_key` over an array: bool and float arrays become
+    int64 (integer and other arrays are returned as they are)."""
+    if keys.dtype == np.bool_:
+        return keys.astype(np.int64)
+    if np.issubdtype(keys.dtype, np.floating):
+        return (keys.astype(np.float64) + 0.0).view(np.int64)
+    return keys
+
+
 def key_to_bytes(key) -> bytes:
     """Canonical byte representation of a message key.
 
-    Integers map to their 8-byte little-endian two's-complement form,
-    strings to UTF-8, bytes pass through.  Any other hashable object
-    falls back to its ``repr``, which is stable within a process.
+    Integers (and the :func:`canonical_key` forms of booleans and
+    floats) map to their 8-byte little-endian two's-complement form,
+    strings to UTF-8, bytes pass through.  Other numbers are rejected;
+    any other hashable object falls back to its ``repr``, which is
+    stable within a process.
     """
+    key = canonical_key(key)
     if isinstance(key, (int, np.integer)):
         return (int(key) & _MASK64).to_bytes(8, "little")
     if isinstance(key, str):
         return key.encode("utf-8")
     if isinstance(key, (bytes, bytearray, memoryview)):
         return bytes(key)
+    if isinstance(key, (numbers.Number, np.number)):
+        raise TypeError(f"unsupported numeric key type {type(key).__name__}")
     return repr(key).encode("utf-8")
 
 
@@ -78,6 +110,9 @@ class HashFunction:
             return splitmix64((key & _MASK64) ^ self._seed_mix)
         if isinstance(key, (int, np.integer)):
             return splitmix64((int(key) & _MASK64) ^ self._seed_mix)
+        key = canonical_key(key)
+        if type(key) is int:
+            return splitmix64((key & _MASK64) ^ self._seed_mix)
         return murmur2_64a(key_to_bytes(key), self.seed)
 
     def bucket(self, key, n: int) -> int:
@@ -85,13 +120,15 @@ class HashFunction:
         return self(key) % n
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized hash of an integer key array (uint64 result)."""
-        return splitmix64_array(keys, self.seed)
+        """Vectorized hash of an integer, bool or float key array
+        (uint64 result)."""
+        return splitmix64_array(canonical_keys(np.asarray(keys)), self.seed)
 
     def bucket_array(self, keys: np.ndarray, n: int) -> np.ndarray:
-        """Vectorized :meth:`bucket` of an integer key array (int64)."""
+        """Vectorized :meth:`bucket` of an integer, bool or float key
+        array (int64)."""
         _check_bucket_count(n)
-        keys = np.asarray(keys)
+        keys = canonical_keys(np.asarray(keys))
         mixes = np.array([self._seed_mix], dtype=np.uint64)
         native = _native_choice_matrix(keys, mixes, n)
         if native is not None:
@@ -169,13 +206,14 @@ class HashFamily:
     def choice_matrix(self, keys: np.ndarray, n: int) -> np.ndarray:
         """Vectorized choices: an ``(len(keys), size)`` int64 matrix.
 
-        Only valid for integer key arrays; this is the fast path used by
-        the simulation harness to hoist hashing out of the sequential
-        routing loop.  One native pass when the kernels are available,
-        else one numpy ``splitmix64_array`` column per function.
+        Only valid for integer, bool or float key arrays; this is the
+        fast path used by the simulation harness to hoist hashing out of
+        the sequential routing loop.  One native pass when the kernels
+        are available, else one numpy ``splitmix64_array`` column per
+        function.
         """
         _check_bucket_count(n)
-        keys = np.asarray(keys)
+        keys = canonical_keys(np.asarray(keys))
         if keys.ndim == 1:
             native = _native_choice_matrix(keys, self.mixes, n)
             if native is not None:

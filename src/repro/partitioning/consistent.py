@@ -26,7 +26,7 @@ import numpy as np
 from repro.api.registry import register
 from repro.core.chunks import factorize
 from repro.core.engine import greedy_route_chunk
-from repro.hashing import HashFunction
+from repro.hashing import HashFunction, canonical_keys
 from repro.partitioning.base import Partitioner
 
 
@@ -137,7 +137,7 @@ class HashRing:
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """Ring position of each key (vectorized ``bisect_right``)."""
         points = self._points_table()
-        keys = np.asarray(keys)
+        keys = canonical_keys(np.asarray(keys))
         if np.issubdtype(keys.dtype, np.integer):
             hashes = self._key_hash.hash_array(keys)
         else:

@@ -58,14 +58,16 @@ happens next is ``RuntimeConfig.recovery``:
   undelivered traffic and future decisions go to a deterministic
   deputy, its undrained ring contents are counted *lost*, and the run
   completes ``status="degraded"``.
-* ``restart`` -- respawn the worker over the same (reset) ring and
-  deterministically replay everything it had ever been delivered: the
-  replay re-routes the stream prefix from a forked
-  :class:`~repro.core.chunks.ChunkSource` through a pristine copy of
-  the partitioner, so the respawned worker rebuilds the exact
-  sub-stream the dead one lost and final per-worker counts are
-  byte-identical to a fault-free run.  Faults (injected or genuine)
-  during the replay recurse, bounded by ``restart_limit``.
+* ``restart`` -- respawn the worker over the same (reset) ring from
+  its last checkpoint record (count, fault-dropped count and the id of
+  the last message it consumed) and re-deliver only what it lost: its
+  messages after that id, up to the last one delivered to it.  The
+  source keeps each routed chunk's ids, grouped by worker, from the
+  oldest chunk any worker's checkpoint can still need, and reads the
+  lost span off that log -- a few chunks wherever the kill lands, and
+  no re-routing.  Final per-worker counts are byte-identical to a
+  fault-free run.  Faults (injected or genuine) during the replay
+  recurse, bounded by ``restart_limit``.
 
 Deaths found on a stalled push, during a replay, or in the
 end-of-stream drain all go through one recovery switch.  The
@@ -91,17 +93,17 @@ rings, push, respawn -- and differ only in how a worker runs:
 
 from __future__ import annotations
 
-import copy
 import math
 import multiprocessing
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -115,7 +117,6 @@ from repro.core.chunks import (
     DEFAULT_CHUNK_SIZE,
     StreamLike,
     counting_scatter,
-    fork_source,
     iter_keyed_chunks,
     stream_length,
 )
@@ -139,9 +140,14 @@ from repro.runtime.supervision import (
     reap_process,
 )
 from repro.runtime.worker import (
+    Checkpoint,
     WorkerLoop,
     WorkerSpec,
+    init_record,
     loop_keywords,
+    progress_lanes,
+    progress_nbytes,
+    read_record,
     worker_main,
 )
 
@@ -171,6 +177,10 @@ _JOIN_TIMEOUT = 120.0
 #: the stages that partition a run's wall clock, in first-entry order.
 _STAGES = ("route", "scatter", "flush_stall", "drain", "recovery")
 
+#: routed chunks restart's route log holds before each new chunk tries
+#: a trim (reading every worker's checkpoint record).
+_LOG_CHUNKS = 4
+
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -185,7 +195,10 @@ class RuntimeConfig:
     #: source-side routing chunk (MUST stay replay_stream's default for
     #: count identity; exposed for tests that stress wrap-around).
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: messages between worker checkpoint publications.
+    #: messages between worker checkpoint publications (a worker that
+    #: drains its ring dry also publishes).  This also bounds a
+    #: restart's replay: it re-delivers at most ``capacity +
+    #: checkpoint_interval + max_batch`` messages.
     checkpoint_interval: int = 4096
     #: "process", "simulated", or "auto" (process when available).
     mode: str = "auto"
@@ -440,8 +453,9 @@ def _probe() -> bool:
 class _Backend(ABC):
     """What both backends share: lanes, rings, push, respawn.
 
-    The progress lanes (W count slots, then W beat slots; one writer
-    each) and the W rings come from one allocator, :meth:`_allocate`.
+    The progress block (W beat slots, then W checkpoint records; one
+    writer each) and the W rings come from one allocator,
+    :meth:`_allocate`.
     A subclass says where that memory lives and how a worker runs --
     start, alive, condemn, finish, close -- and nothing else, so the
     supervision and recovery logic upstream is mode-blind.
@@ -461,16 +475,14 @@ class _Backend(ABC):
         self.config = config
         self.num_workers = num_workers
         self.rings: List[SpscRing] = []
-        self.counts: Any = None
         self.beats: Any = None
+        self.records: Any = None
         try:
-            lanes = np.ndarray(
-                (2 * num_workers,),
-                dtype=np.int64,
-                buffer=self._allocate(2 * num_workers * 8),
+            self.beats, self.records = progress_lanes(
+                self._allocate(progress_nbytes(num_workers)), num_workers
             )
-            self.counts = lanes[:num_workers]
-            self.beats = lanes[num_workers:]
+            for record in self.records:
+                init_record(record)
             for _ in range(num_workers):
                 backing = self._allocate(ring_nbytes(config.capacity))
                 self.rings.append(
@@ -530,22 +542,26 @@ class _Backend(ABC):
             alive=lambda: self.alive(worker),
         )
 
-    def checkpointed(self, worker: int) -> int:
-        return int(self.counts[worker])
+    def checkpoint(self, worker: int) -> Checkpoint:
+        """``worker``'s last published checkpoint record."""
+        return read_record(self.records[worker])
 
     def respawn(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
-        """Replace dead ``worker`` over its reset ring, count and beat."""
+        """Replace dead ``worker`` over its reset ring and beat.
+
+        The replacement starts from the dead worker's checkpoint
+        record, which is left as it is.
+        """
         self.condemn(worker)
         self.rings[worker].reset()
-        self.counts[worker] = 0
         self.beats[worker] = 0
         self._start(worker, faults)
 
     def close(self) -> None:
         # Drop the numpy views before any backing mapping closes.
         self.rings.clear()
-        self.counts = None
         self.beats = None
+        self.records = None
 
 
 class _SimulatedBackend(_Backend):
@@ -572,8 +588,8 @@ class _SimulatedBackend(_Backend):
         self.loops[worker] = WorkerLoop(
             worker,
             self.rings[worker],
-            self.counts,
             beats=self.beats,
+            record=self.records[worker],
             **loop_keywords(self.config, faults),
         )
 
@@ -611,8 +627,8 @@ class _SimulatedBackend(_Backend):
 class _ProcessBackend(_Backend):
     """Real worker processes over shared-memory rings.
 
-    Shared-memory block 0 backs the lanes, block ``1 + w`` worker
-    ``w``'s ring; a respawned worker attaches to the same blocks.
+    Shared-memory block 0 backs the progress block, block ``1 + w``
+    worker ``w``'s ring; a respawned worker attaches to the same blocks.
     """
 
     mode = "process"
@@ -765,16 +781,72 @@ class _StageClock:
         return sum(self.seconds.values())
 
 
+class _RouteLog:
+    """Restart's replay base: each routed chunk's ids, grouped by worker.
+
+    The scatter already groups every chunk's message ids by worker, each
+    group in stream order, into an array it allocates afresh per chunk;
+    the log keeps those arrays, uncopied, from the oldest chunk a
+    restart could still need.  A worker's lost span is then read off the
+    log: no partitioner copy and no re-routing, so restart does not
+    depend on routing being repeatable.  :meth:`trim` drops what no
+    restart can need any more.
+    """
+
+    def __init__(self) -> None:
+        #: ``(start, bounds, grouped)`` of every retained chunk: worker
+        #: ``w``'s ids are ``grouped[bounds[w]:bounds[w + 1]]``.
+        self.chunks: List[Tuple[int, List[int], np.ndarray]] = []
+
+    def trim(self, horizon: int) -> None:
+        """Drop the chunks wholly before stream id ``horizon``.
+
+        ``horizon`` must not exceed the first id any restart could still
+        have to re-deliver.
+        """
+        drop = 0
+        for start, _bounds, grouped in self.chunks[:-1]:
+            if start + grouped.size > horizon:
+                break
+            drop += 1
+        del self.chunks[:drop]
+
+    def lost_span(
+        self, worker: int, after: int, count: int
+    ) -> Iterator[np.ndarray]:
+        """``worker``'s next ``count`` stream ids after id ``after``.
+
+        Yields them a chunk at a time, in stream order.
+        """
+        for start, bounds, grouped in self.chunks:
+            if count <= 0:
+                return
+            if start + grouped.size <= after + 1:
+                continue
+            ids = grouped[bounds[worker] : bounds[worker + 1]]
+            ids = ids[np.searchsorted(ids, after, side="right") :][:count]
+            if ids.size:
+                count -= int(ids.size)
+                yield ids
+        if count > 0:
+            raise AssertionError(
+                f"worker {worker}'s lost span runs past the routed stream "
+                f"({count} ids short)"
+            )
+
+
 class _Supervisor:
     """Delivery accounting + failure assessment + recovery execution.
 
     Owns every piece of state the conservation law needs: ``delivered``
     (distinct stream messages that first entered each worker's ring --
-    restart replays deliberately do *not* increment it, which is what
-    makes the replay span ``delivered[w]`` correct even across repeated
-    failures), ``dropped`` (source-side sheds), the dead set, and the
-    failure log.  Time spent assessing and recovering is booked to the
-    ``recovery`` stage of the run's clock.
+    restart replays deliberately do *not* increment it, so
+    ``delivered[w]`` stays the length of the sub-stream a restarted
+    worker must have consumed, across repeated failures), ``dropped``
+    (source-side sheds), the dead set, and the failure log.  Under
+    restart recovery it also keeps the :class:`_RouteLog` the replays
+    are read from.  Time spent assessing and recovering is booked to
+    the ``recovery`` stage of the run's clock.
     """
 
     def __init__(
@@ -782,8 +854,6 @@ class _Supervisor:
         backend: _Backend,
         partitioner: "Partitioner",
         config: RuntimeConfig,
-        keys: StreamLike,
-        times: Optional[np.ndarray],
         series: StreamingLoadSeries,
         worker_faults: Dict[int, Tuple[FaultSpec, ...]],
         clock: _StageClock,
@@ -791,8 +861,6 @@ class _Supervisor:
         self.backend = backend
         self.partitioner = partitioner
         self.config = config
-        self.keys = keys
-        self.times = times
         self.series = series
         self.num_workers = partitioner.num_workers
         self.worker_faults = worker_faults
@@ -810,10 +878,43 @@ class _Supervisor:
         #: assessment started (cleared on any delivery progress).
         self._episode: Dict[int, float] = {}
         self._episode_beat: Dict[int, int] = {}
-        #: pristine partitioner copy for deterministic span replay.
-        self._pristine: Optional["Partitioner"] = (
-            copy.deepcopy(partitioner) if config.recovery == "restart" else None
+        #: restart's replay base (None under the other policies).
+        self.route_log: Optional[_RouteLog] = (
+            _RouteLog() if config.recovery == "restart" else None
         )
+
+    def log_chunk(
+        self,
+        start: int,
+        bounds: List[int],
+        grouped: np.ndarray,
+        stage_ids: np.ndarray,
+        stage_fill: List[int],
+    ) -> None:
+        """Log a routed chunk's grouped ids (restart only), then trim."""
+        log = self.route_log
+        assert log is not None
+        log.chunks.append((start, bounds, grouped))
+        if len(log.chunks) > _LOG_CHUNKS:
+            log.trim(self._horizon(start, stage_ids, stage_fill))
+
+    def _horizon(
+        self, start: int, stage_ids: np.ndarray, stage_fill: List[int]
+    ) -> int:
+        """The oldest stream id a restart could still re-deliver.
+
+        A worker behind on its deliveries may need any id after its
+        checkpoint; one that has consumed everything delivered to it
+        only its staged ids, or none routed before ``start``.
+        """
+        horizon = start
+        for w in range(self.num_workers):
+            checkpoint = self.backend.checkpoint(w)
+            if checkpoint.consumed < self.delivered[w]:
+                horizon = min(horizon, checkpoint.last_id + 1)
+            elif stage_fill[w]:
+                horizon = min(horizon, int(stage_ids[w, 0]))
+        return horizon
 
     # -- delivery -----------------------------------------------------------
 
@@ -876,9 +977,9 @@ class _Supervisor:
                 if reason == "retry":
                     return False
             action = self.config.recovery if self.aborted is None else "fail"
-            self._record(worker, reason, action)
+            event = self._record(worker, reason, action)
             if action == "restart":
-                self._restart(worker, reason)
+                self._restart(worker, reason, event)
                 if final:
                     self.backend.rings[worker].mark_done()
                 return True
@@ -951,7 +1052,8 @@ class _Supervisor:
         self._episode.pop(worker, None)
         self._episode_beat.pop(worker, None)
 
-    def _record(self, worker: int, reason: str, action: str) -> None:
+    def _record(self, worker: int, reason: str, action: str) -> int:
+        """Log a failure of ``worker``; returns its index in the log."""
         self.failures.append(
             FailureEvent(
                 worker=worker,
@@ -959,17 +1061,22 @@ class _Supervisor:
                 action=action,
                 at_routed=int(self.series.loads.sum()),
                 delivered=int(self.delivered[worker]),
-                checkpointed=self.backend.checkpointed(worker),
+                checkpointed=self.backend.checkpoint(worker).count,
             )
         )
+        return len(self.failures) - 1
 
-    def _restart(self, worker: int, reason: str) -> None:
-        """Respawn ``worker`` and replay its lost span deterministically.
+    def _restart(self, worker: int, reason: str, event: int) -> None:
+        """Respawn ``worker`` from its checkpoint; re-deliver what it lost.
 
-        The span is ``delivered[worker]``, which never counts replayed
-        messages, so every attempt rebuilds the same prefix.  A death
-        during the replay goes back through :meth:`_fail_over`, which
-        restarts again -- bounded by ``restart_limit`` per worker.
+        The lost span is the worker's messages after the checkpoint's
+        last id: ``delivered[worker]`` minus the checkpoint's consumed
+        count of them (``delivered`` never counts replays, so this holds
+        across repeated failures), read off the route log.  A
+        death during the replay goes back through :meth:`_fail_over`,
+        which restarts again from the then-current checkpoint --
+        bounded by ``restart_limit`` per worker.  Failure ``event``
+        gets the resume count and the messages re-delivered.
         """
         self.restarts_per_worker[worker] += 1
         if self.restarts_per_worker[worker] > self.config.restart_limit:
@@ -982,57 +1089,35 @@ class _Supervisor:
         self.worker_faults[worker] = consume_cause(
             self.worker_faults[worker], reason
         )
+        resume = self.backend.checkpoint(worker)
         self.backend.respawn(worker, self.worker_faults[worker])
         self._clear_episode(worker)
-        span = int(self.delivered[worker])
-        done = 0
-        while done < span:
-            sent, stalled = self._replay_slice(worker, span, done)
-            done += sent
-            if stalled and self._fail_over(worker):
-                return
-
-    def _replay_slice(
-        self, worker: int, span: int, skip: int
-    ) -> Tuple[int, bool]:
-        """Re-deliver ``worker``'s messages ``[skip, span)`` of its span.
-
-        Re-routes the stream prefix from a forked source through a
-        pristine partitioner copy -- the same chunk grid and state
-        evolution as the original pass, hence the same assignments --
-        and pushes only ``worker``'s share.  Returns ``(sent,
-        stalled)``; a stalled push ends the slice with partial progress
-        for the caller to assess.
-        """
-        assert self._pristine is not None
-        fresh = copy.deepcopy(self._pristine)
-        sent = 0
-        seen = 0
-        for start, _stop, key_chunk, time_chunk in iter_keyed_chunks(
-            fork_source(self.keys), self.config.chunk_size, self.times
-        ):
-            assignments = fresh.route_chunk(key_chunk, time_chunk)
-            mine = np.flatnonzero(assignments == worker)
-            if mine.size:
-                lo = max(skip - seen, 0)
-                hi = min(span - seen, int(mine.size))
-                seen += int(mine.size)
-                if hi > lo:
-                    ids = (start + mine[lo:hi]).astype(np.int64)
-                    # Replay stamps are fresh by necessity; sojourns of
-                    # replayed messages measure re-delivery, not the
-                    # original enqueue (REPRO002 noqa).
-                    stamps = np.full(
-                        ids.size,
-                        time.perf_counter(),  # repro: noqa[REPRO002]
-                    )
+        assert self.route_log is not None
+        span = self.route_log.lost_span(
+            worker, resume.last_id, int(self.delivered[worker]) - resume.consumed
+        )
+        replayed = 0
+        try:
+            for ids in span:
+                # Replay stamps are fresh by necessity; sojourns of
+                # replayed messages measure re-delivery, not the
+                # original enqueue (REPRO002 noqa).
+                stamps = np.full(
+                    ids.size,
+                    time.perf_counter(),  # repro: noqa[REPRO002]
+                )
+                while ids.size:
                     pushed, _dropped, stalled = self._push(worker, ids, stamps)
-                    sent += pushed
-                    if stalled:
-                        return sent, True
-            if seen >= span:
-                break
-        return sent, False
+                    replayed += pushed
+                    ids, stamps = ids[pushed:], stamps[pushed:]
+                    if stalled and self._fail_over(worker):
+                        return
+        finally:
+            self.failures[event] = replace(
+                self.failures[event],
+                resumed_from=resume.count,
+                replayed=replayed,
+            )
 
     # -- end of stream ------------------------------------------------------
 
@@ -1135,9 +1220,8 @@ def run_runtime(
     # The run's wall clock starts here (backend spawn stays outside it),
     # in the route stage: reading the first chunk is routing work.
     clock = _StageClock()
-    sup = _Supervisor(
-        backend, partitioner, config, keys, times, series, worker_faults, clock
-    )
+    sup = _Supervisor(backend, partitioner, config, series, worker_faults, clock)
+    restartable = sup.route_log is not None
 
     def flush_worker(w: int) -> None:
         """Deliver worker ``w``'s staged ids (one shared stamp per flush)."""
@@ -1173,6 +1257,10 @@ def run_runtime(
                     assignments, num_workers, base=start
                 )
                 bounds = boundaries.tolist()
+                if restartable:
+                    # Before any flush of this chunk: a death found by
+                    # one may need this chunk's ids replayed.
+                    sup.log_chunk(start, bounds, grouped, stage_ids, stage_fill)
                 for w in range(num_workers):
                     lo, hi = bounds[w], bounds[w + 1]
                     while lo < hi:
@@ -1199,9 +1287,12 @@ def run_runtime(
         clock.enter("drain")
         reports = sup.collect()
         wall = clock.stop()
-        # Snapshot the checkpoint lane before close() drops the shared-
-        # memory views: it holds each dead worker's survivable count.
-        worker_loads = np.asarray(backend.counts, dtype=np.int64).copy()
+        # Read the checkpoint records before close() drops the shared-
+        # memory views: they hold each dead worker's survivable count.
+        worker_loads = np.array(
+            [backend.checkpoint(w).count for w in range(num_workers)],
+            dtype=np.int64,
+        )
     finally:
         backend.close()
 

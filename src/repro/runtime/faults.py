@@ -390,6 +390,36 @@ class FaultState:
             return 0.0
         return remaining
 
+    def fast_forward(self, count: int) -> None:
+        """Count on from a checkpoint: n-triggers below ``count`` fired.
+
+        A restarted worker resumes at its checkpointed ``count``; every
+        spec whose trigger lies below it fired in the dead incarnation,
+        and its effects are already in the checkpoint (a drop's discards
+        end before the count moves past its trigger), except a slow
+        factor, which lasts.  A trigger *at* ``count`` had not fired yet
+        -- the checkpoint was published before the poll that fires it
+        -- so it stays pending and fires at the same sub-stream message
+        as before.
+        """
+        still: List[FaultSpec] = []
+        for spec in self._pending:
+            if spec.at_messages is None or spec.at_messages >= count:
+                still.append(spec)
+                continue
+            self.fired.append(spec)
+            if spec.kind == "slow":
+                self.service_factor *= spec.factor
+        self._pending = still
+
+    def fired_at(self, count: int) -> bool:
+        """Whether a spec triggered at exactly ``count`` has fired.
+
+        A checkpoint at ``count`` would then resume that spec as
+        pending (see :meth:`fast_forward`) and fire it twice.
+        """
+        return any(spec.at_messages == count for spec in self.fired)
+
     def poll(self, count: int, now: float) -> None:
         """Fire every spec whose trigger has been reached."""
         if not self._pending:

@@ -18,11 +18,13 @@ that role that are independent of the engine's run loop:
   condemned silence, ``"finish-timeout"`` for the absolute drain cap).
 * :class:`FailureEvent` -- one detected failure plus the recovery
   action taken, with the exact accounting (messages routed, delivered,
-  checkpointed) needed to audit conservation afterwards.
+  checkpointed) needed to audit conservation afterwards, and for a
+  restart what recovery cost (the count it resumed at, the messages it
+  re-delivered).
 * :data:`RECOVERY_POLICIES` -- ``fail`` (clean abort, partial but
   well-labeled results), ``reroute`` (mask the dead worker out of the
-  partitioner and continue degraded), ``restart`` (respawn and replay
-  the lost span deterministically).
+  partitioner and continue degraded), ``restart`` (respawn from the
+  worker's checkpoint and replay the span it lost deterministically).
 * :func:`reap_process` -- the join -> terminate -> kill escalation
   every child teardown path uses, so no wedged worker can leak a
   process or its shared-memory mappings.
@@ -113,6 +115,10 @@ class FailureEvent:
     delivered: int
     #: the worker's last published checkpoint (its survivable count).
     checkpointed: int
+    #: restart only: the checkpointed count the respawned worker resumed at.
+    resumed_from: Optional[int] = None
+    #: messages recovery re-delivered to the respawned worker.
+    replayed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form for reports/JSON artifacts."""
@@ -123,6 +129,8 @@ class FailureEvent:
             "at_routed": self.at_routed,
             "delivered": self.delivered,
             "checkpointed": self.checkpointed,
+            "resumed_from": self.resumed_from,
+            "replayed": self.replayed,
         }
 
 

@@ -4,19 +4,30 @@ A worker owns one ring (single consumer) and two private accumulators
 -- a message count and a :class:`~repro.queueing.latency.LatencyStore`
 sojourn sketch -- that nothing else writes.  This is the
 privatize-then-reduce discipline: accumulate into per-worker private
-state with no synchronisation at all, publish a checkpoint snapshot
-into a single-writer slot of the shared progress array every
-``checkpoint_interval`` messages, and reduce the full private state
-exactly once at shutdown (the report the engine merges).  No CAS, no
-locks, no shared hot counters.
+state with no synchronisation at all, publish a checkpoint into a
+single-writer slot of shared memory every ``checkpoint_interval``
+messages, and reduce the full private state exactly once at shutdown
+(the report the engine merges).  No CAS, no locks, no shared hot
+counters.
 
-**Heartbeats.**  The shared progress block carries two single-writer
-lanes per worker: the *count* lane (checkpoint snapshots, as before)
-and a *beat* lane the worker bumps on every drain step -- including
-idle ones -- so the source can tell "alive but idle" from "gone".  A
-worker that is dead, or stalled by an injected fault, stops beating;
-that silence is exactly what the supervisor's liveness deadline
-measures (:mod:`repro.runtime.supervision`).
+**Checkpoints.**  A checkpoint is a :class:`Checkpoint` record: the
+count, the fault-dropped count, and the stream id of the last message
+consumed.  Each worker's sub-stream arrives in stream-id order, so that
+id says exactly where a restart resumes.  The record is double-buffered
+(:data:`RECORD_SLOTS`): a publish writes the idle row, then commits it
+with one aligned store of the generation word, so a kill landing
+between two stores leaves the previous record intact.  A worker built
+over a record starts from it -- a fresh record is the empty
+checkpoint -- which is how a restarted worker counts on from where its
+predecessor last checkpointed.  A worker that drains its ring dry also
+publishes, so a caught-up worker's record is current.
+
+**Heartbeats.**  The shared progress block carries the records and a
+*beat* lane per worker, which the worker bumps on every drain step --
+including idle ones -- so the source can tell "alive but idle" from
+"gone".  A worker that is dead, or stalled by an injected fault, stops
+beating; that silence is exactly what the supervisor's liveness
+deadline measures (:mod:`repro.runtime.supervision`).
 
 **Fault injection.**  A :class:`~repro.runtime.faults.FaultState`
 built from the worker's slice of the :class:`~repro.runtime.faults.
@@ -57,10 +68,17 @@ if TYPE_CHECKING:
 __all__ = [
     "FAULT_KILL_EXIT",
     "DRAIN_TIMEOUT_EXIT",
+    "RECORD_SLOTS",
+    "Checkpoint",
     "WorkerSpec",
     "WorkerLoop",
+    "init_record",
     "loop_keywords",
+    "progress_lanes",
+    "progress_nbytes",
+    "read_record",
     "worker_main",
+    "write_record",
 ]
 
 #: seconds an idle real-process worker sleeps before re-polling its ring.
@@ -77,6 +95,72 @@ FAULT_KILL_EXIT = 73
 #: exit code of a worker whose bounded drain saw no producer progress.
 DRAIN_TIMEOUT_EXIT = 71
 
+#: int64 slots of one checkpoint record: the generation word, then two
+#: rows of (count, fault_dropped, last_id); generation g commits row
+#: ``g % 2``.
+RECORD_SLOTS = 7
+_FIELDS = 3
+#: reads of a live writer's record before giving up (each retry means a
+#: publish landed mid-read; publishes are checkpoint_interval apart).
+_READ_ATTEMPTS = 64
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A worker's last published progress: where a restart resumes."""
+
+    #: messages processed (counted and measured).
+    count: int = 0
+    #: messages consumed but discarded by fired ``drop`` faults.
+    fault_dropped: int = 0
+    #: stream id of the last message consumed (-1 = none yet).
+    last_id: int = -1
+
+    @property
+    def consumed(self) -> int:
+        """Messages of the worker's sub-stream taken off its ring."""
+        return self.count + self.fault_dropped
+
+
+def init_record(record: np.ndarray) -> None:
+    """Make ``record`` hold the empty checkpoint (generation 0)."""
+    empty = Checkpoint()
+    record[:] = (0,) + (empty.count, empty.fault_dropped, empty.last_id) * 2
+
+
+def write_record(record: np.ndarray, checkpoint: Checkpoint) -> None:
+    """Publish ``checkpoint`` into ``record`` (its one writer only).
+
+    The fields go to the row the current generation does not commit;
+    the generation store that commits them is made last, so a reader
+    (or a kill between the stores) never sees a half-written row.
+    """
+    generation = int(record[0]) + 1
+    row = 1 + _FIELDS * (generation % 2)
+    record[row : row + _FIELDS] = (
+        checkpoint.count,
+        checkpoint.fault_dropped,
+        checkpoint.last_id,
+    )
+    record[0] = generation  # commit: single aligned store, made last
+
+
+def read_record(record: np.ndarray) -> Checkpoint:
+    """The last committed checkpoint in ``record``.
+
+    Safe against a concurrent writer: the read is retried if the
+    generation moved while the row was copied out.
+    """
+    for _ in range(_READ_ATTEMPTS):
+        generation = int(record[0])
+        row = 1 + _FIELDS * (generation % 2)
+        count, dropped, last_id = (int(v) for v in record[row : row + _FIELDS])
+        if int(record[0]) == generation:
+            return Checkpoint(count, dropped, last_id)
+    raise RuntimeError(
+        f"checkpoint record kept changing over {_READ_ATTEMPTS} reads"
+    )
+
 
 @dataclass(frozen=True)
 class WorkerSpec:
@@ -87,7 +171,7 @@ class WorkerSpec:
     #: shared-memory block name of this worker's ring.
     ring_name: str
     #: shared-memory block name of the cluster-wide progress block
-    #: (2 int64 lanes per worker: counts then beats).
+    #: (int64: W beat slots, then W checkpoint records).
     progress_name: str
     #: the deployment's RuntimeConfig (ring capacity, drain deadline and
     #: the loop keywords of :func:`loop_keywords`).
@@ -114,6 +198,26 @@ def loop_keywords(
     }
 
 
+def progress_nbytes(num_workers: int) -> int:
+    """Bytes of the progress block: beat slots plus checkpoint records."""
+    return num_workers * (1 + RECORD_SLOTS) * 8
+
+
+def progress_lanes(buf: Any, num_workers: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(beats, records)`` views of a progress block.
+
+    ``beats`` has one slot per worker; ``records`` is ``(num_workers,
+    RECORD_SLOTS)``, one checkpoint record per worker.
+    """
+    lanes = np.ndarray(
+        (num_workers * (1 + RECORD_SLOTS),), dtype=np.int64, buffer=buf
+    )
+    return (
+        lanes[:num_workers],
+        lanes[num_workers:].reshape(num_workers, RECORD_SLOTS),
+    )
+
+
 def _busy_wait(seconds: float) -> None:
     """Occupy the CPU for ``seconds`` (the simulated service cost).
 
@@ -132,13 +236,18 @@ def _busy_wait(seconds: float) -> None:
 
 
 class WorkerLoop:
-    """One worker's drain loop, private accumulators, and fault machine."""
+    """One worker's drain loop, private accumulators, and fault machine.
+
+    ``progress`` is an optional count lane (the worker's checkpointed
+    count lands in slot ``worker_id``); ``record`` is the worker's
+    checkpoint record, from which the loop also starts.
+    """
 
     def __init__(
         self,
         worker_id: int,
         ring: SpscRing,
-        progress: np.ndarray,
+        progress: Optional[np.ndarray] = None,
         *,
         service_cost: float = 0.0,
         checkpoint_interval: int = 4096,
@@ -146,6 +255,7 @@ class WorkerLoop:
         max_batch: int = 4096,
         capture_indices: bool = False,
         beats: Optional[np.ndarray] = None,
+        record: Optional[np.ndarray] = None,
         faults: Tuple[FaultSpec, ...] = (),
         owns_process: bool = False,
     ) -> None:
@@ -161,11 +271,13 @@ class WorkerLoop:
         self.ring = ring
         self.progress = progress
         self.beats = beats
+        self.record = record
         self.service_cost = float(service_cost)
         self.checkpoint_interval = int(checkpoint_interval)
         self.max_batch = int(max_batch)
+        resume = read_record(record) if record is not None else Checkpoint()
         #: private accumulators -- this worker is the only writer.
-        self.count = 0
+        self.count = resume.count
         self.latency = LatencyStore(relative_error)
         self.checkpoints_published = 0
         self._since_checkpoint = 0
@@ -173,7 +285,9 @@ class WorkerLoop:
         #: crash flag: a killed worker never consumes or reports again.
         self.dead = False
         #: messages silently discarded by a fired ``drop`` fault.
-        self.fault_dropped = 0
+        self.fault_dropped = resume.fault_dropped
+        #: stream id of the last message taken off the ring.
+        self.last_id = resume.last_id
         #: the loop runs alone in a worker process: a kill fault
         #: _exit()s it, and a stall may sleep (an inline loop must do
         #: neither -- its caller *is* the source).
@@ -187,6 +301,7 @@ class WorkerLoop:
                 specs=tuple(faults),
                 started_at=time.perf_counter(),  # repro: noqa[REPRO002]
             )
+            self._faults.fast_forward(self.count)
         #: popped message ids, batch by batch (tests assert FIFO order
         #: against the replay's assignments; None = not capturing).
         self.captured: Optional[List[np.ndarray]] = (
@@ -263,7 +378,14 @@ class WorkerLoop:
         indices, stamps = self.ring.try_pop(limit)
         consumed = int(indices.size)
         if consumed == 0:
+            if self._since_checkpoint and (
+                faults is None or not faults.fired_at(self.count)
+            ):
+                # Drained dry: checkpoint, so a caught-up worker's
+                # record says so (and its restart replays nothing).
+                self.publish_checkpoint()
             return 0
+        self.last_id = int(indices[-1])
         n = consumed
         if faults is not None and faults.drop_remaining > 0:
             # A fired drop fault discards the leading messages of the
@@ -296,12 +418,19 @@ class WorkerLoop:
         return consumed
 
     def publish_checkpoint(self) -> None:
-        """Snapshot the private count into this worker's progress slot.
+        """Publish the private progress as this worker's checkpoint.
 
-        The slot has exactly one writer (this worker), so a plain
-        aligned int64 store is the whole reduction protocol.
+        Both slots have exactly one writer (this worker): the record
+        commits with its generation store (:func:`write_record`), the
+        count lane with one aligned int64 store.
         """
-        self.progress[self.worker_id] = self.count
+        if self.record is not None:
+            write_record(
+                self.record,
+                Checkpoint(self.count, self.fault_dropped, self.last_id),
+            )
+        if self.progress is not None:
+            self.progress[self.worker_id] = self.count
         self.checkpoints_published += 1
         self._since_checkpoint = 0
 
@@ -374,14 +503,12 @@ def worker_main(spec: WorkerSpec, result_queue: Any) -> None:
     ring = lanes = loop = None
     try:
         ring = SpscRing.from_buffer(ring_shm.buf, spec.config.capacity)
-        lanes = np.ndarray(
-            (2 * spec.num_workers,), dtype=np.int64, buffer=progress_shm.buf
-        )
+        lanes = progress_lanes(progress_shm.buf, spec.num_workers)
         loop = WorkerLoop(
             spec.worker_id,
             ring,
-            lanes[: spec.num_workers],
-            beats=lanes[spec.num_workers :],
+            beats=lanes[0],
+            record=lanes[1][spec.worker_id],
             owns_process=True,
             **loop_keywords(spec.config, spec.faults),
         )

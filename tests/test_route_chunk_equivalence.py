@@ -148,3 +148,54 @@ def test_masked_route_chunk_matches_route_across_chunks(
         for key, worker in zip(keys[2_500:], after):
             if worker == dead:
                 assert set(chunked.candidates(key)) == {dead}
+
+
+def _typed_keys(dtype):
+    """A skewed stream of ``dtype`` keys, with colliding-looking values.
+
+    Floats include -0.0 and 0.0, and values whose ints collide (1.5 and
+    1.0); bools have just two keys.
+    """
+    codes = zipf_keys(3_000) % 64
+    if dtype == "int":
+        return codes.astype(np.int64) - 32
+    if dtype == "float":
+        values = np.concatenate([[-0.0, 0.0, 1.0, 1.5], np.arange(60) * 0.25 - 7])
+        return values[codes]
+    if dtype == "bool":
+        return codes % 3 == 0
+    return np.array([f"w{c}" for c in codes])
+
+
+@pytest.mark.parametrize("scheme", sorted(available_schemes()))
+@pytest.mark.parametrize("dtype", ["int", "float", "bool", "str"])
+@pytest.mark.parametrize("backend", ["native", "python"])
+def test_route_of_python_keys_matches_route_chunk(monkeypatch, scheme, dtype, backend):
+    """One key encoding: ``route()`` fed the Python values of a key array
+    (``tolist()``: plain int, float, bool and str) decides what
+    ``route_chunk`` decides on the array itself."""
+    if backend == "python":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    keys = _typed_keys(dtype)
+    reference = per_message_reference(scheme, 8, keys.tolist(), seed=3)
+    chunked = route_chunked(keys, make_partitioner(scheme, 8, seed=3), chunk_size=700)
+    assert np.array_equal(chunked, reference), (scheme, dtype)
+
+
+def test_negative_zero_hashes_as_zero():
+    from repro.hashing import canonical_key, canonical_keys
+
+    assert canonical_key(-0.0) == canonical_key(0.0) == 0
+    assert canonical_key(np.float32(1.5)) == canonical_key(1.5)
+    assert canonical_key(np.True_) == canonical_key(True) == 1
+    assert canonical_keys(np.array([-0.0, 1.5])).tolist() == [
+        canonical_key(0.0),
+        canonical_key(1.5),
+    ]
+
+
+def test_unsupported_numeric_keys_are_rejected():
+    from repro.hashing import key_to_bytes
+
+    with pytest.raises(TypeError, match="numeric key"):
+        key_to_bytes(1 + 2j)

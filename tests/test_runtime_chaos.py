@@ -9,7 +9,8 @@ here asserts at least one of them:
 * **Restart determinism** -- after ``recovery="restart"`` fully
   recovers a killed worker, the per-worker counts are byte-identical
   to the fault-free single-process replay: the respawned worker
-  re-processed exactly the span the dead one lost.
+  resumed at its predecessor's checkpoint and re-processed exactly the
+  span it lost, which costs the same wherever the kill lands.
 
 The hypothesis matrix drives randomly drawn (but seeded) fault plans
 through the simulated backend; the fixed schedules then pin the
@@ -32,6 +33,7 @@ from repro.runtime import (
     runtime_available,
 )
 from repro.streams.datasets import get_dataset
+from repro.streams.distributions import ZipfKeyDistribution
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -190,6 +192,189 @@ class TestRestartIdentitySimulated:
         assert result.conservation_ok
 
 
+def modes():
+    return [pytest.param("process", marks=needs_processes), "simulated"]
+
+
+def make_config(mode, recovery, faults, **overrides):
+    build = process_config if mode == "process" else simulated_config
+    return build(recovery, faults, **overrides)
+
+
+def assert_recovered(result, expected):
+    """Status ok, conservation, and counts byte-identical to ``expected``."""
+    assert result.status == "ok", result.failures
+    assert result.conservation_ok
+    assert (
+        result.worker_loads.astype(np.int64).tobytes()
+        == np.asarray(expected, dtype=np.int64).tobytes()
+    )
+
+
+class TestRestartFromCheckpoint:
+    """Restart resumes at the dead worker's checkpoint, not at message 0.
+
+    A small ``checkpoint_interval`` puts the checkpoint well into the
+    worker's sub-stream, so every run below replays only the span after
+    it: ``replayed == delivered - resumed_from`` when nothing was
+    fault-dropped.
+    """
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_every_scheme_resumes_mid_stream(self, scheme):
+        plan = FaultPlan.parse(["kill:w=1@n=1000"], seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner(scheme, 4, seed=42),
+            simulated_config("restart", plan, checkpoint_interval=64),
+        )
+        replay = replay_stream(STREAM, make_partitioner(scheme, 4, seed=42))
+        assert_recovered(result, replay.final_loads)
+        if replay.final_loads[1] >= 1000:  # the trigger actually fired
+            (event,) = result.failures
+            assert event["resumed_from"] == event["checkpointed"] > 0
+            assert event["replayed"] == event["delivered"] - event["resumed_from"]
+
+    @pytest.mark.parametrize("mode", modes())
+    def test_chunk_source_input(self, mode):
+        # A source cannot seek, and restart never asks it to: the lost
+        # span comes from the route log.  A small chunk grid makes the
+        # log trim many times before and after the kill.
+        source = ZipfKeyDistribution(1.2, 5_000).chunk_source(
+            40_000, seed=3, chunk_size=1_000
+        )
+        plan = FaultPlan.parse(["kill:w=1@n=4000"], seed=42)
+        result = run_runtime(
+            source,
+            make_partitioner("pkg", 4, seed=42),
+            make_config(mode, "restart", plan, checkpoint_interval=256),
+        )
+        replay = replay_stream(source, make_partitioner("pkg", 4, seed=42))
+        assert_recovered(result, replay.final_loads)
+        (event,) = result.failures
+        assert event["resumed_from"] >= 4000 - 256 - 512
+        assert event["replayed"] == event["delivered"] - event["resumed_from"]
+
+    @pytest.mark.parametrize("mode", modes())
+    def test_drop_before_the_checkpoint_stays_fired(self, mode):
+        # The drop fired (and ended) before the checkpoint: the resumed
+        # worker must neither drop again nor forget the drops.
+        plan = FaultPlan.parse(
+            ["drop:w=1@n=100:count=50", "kill:w=1@n=1500"], seed=42
+        )
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            make_config(mode, "restart", plan, checkpoint_interval=256),
+        )
+        expected = replay_stream(
+            STREAM, make_partitioner("pkg", 4, seed=42)
+        ).final_loads.copy()
+        expected[1] -= 50
+        assert_recovered(result, expected)
+        assert result.lost == 50
+        (event,) = result.failures
+        assert event["resumed_from"] > 100
+
+    @pytest.mark.parametrize("mode", modes())
+    def test_rare_worker_staged_across_many_chunks(self, mode):
+        # Worker 1 gets 1% of the stream, so one flush of its staging
+        # row spans ~200 chunks.  A caught-up worker's staged ids must
+        # keep those chunks in the route log: the kill lands right after
+        # the first flush delivers them.
+        homes = make_partitioner("kg", 4, seed=42).route_chunk(np.arange(1_000))
+        rare, common = np.flatnonzero(homes == 1), np.flatnonzero(homes != 1)
+        rng = np.random.default_rng(5)
+        keys = np.where(
+            rng.random(120_000) < 0.01,
+            rng.choice(rare, 120_000),
+            rng.choice(common, 120_000),
+        )
+        plan = FaultPlan.parse(["kill:w=1@n=100"], seed=42)
+        result = run_runtime(
+            keys,
+            make_partitioner("kg", 4, seed=42),
+            make_config(
+                mode, "restart", plan, chunk_size=256, capacity=512, flush_size=512
+            ),
+        )
+        replay = replay_stream(keys, make_partitioner("kg", 4, seed=42))
+        assert_recovered(result, replay.final_loads)
+        assert result.restarts == 1
+
+    def test_second_kill_during_the_replay(self):
+        # The respawned worker resumes at 512 and dies again at 720,
+        # while the replay of its span (more than the 128-slot ring
+        # holds) is still being pushed.
+        plan = FaultPlan.parse(
+            ["kill:w=1@n=700", "kill:w=1@n=720"], seed=42
+        )
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            simulated_config("restart", plan, checkpoint_interval=512),
+        )
+        replay = replay_stream(STREAM, make_partitioner("pkg", 4, seed=42))
+        assert_recovered(result, replay.final_loads)
+        assert result.restarts == 2
+        first, second = result.failures
+        assert second["at_routed"] == first["at_routed"]  # no routing between
+        assert first["resumed_from"] == second["resumed_from"] == 512
+        assert first["replayed"] < second["replayed"]
+        assert second["replayed"] == second["delivered"] - 512
+
+    @pytest.mark.parametrize("mode", modes())
+    def test_two_kills_on_one_worker(self, mode):
+        plan = FaultPlan.parse(
+            ["kill:w=1@n=500", "kill:w=1@n=1500"], seed=42
+        )
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            make_config(mode, "restart", plan, checkpoint_interval=128),
+        )
+        replay = replay_stream(STREAM, make_partitioner("pkg", 4, seed=42))
+        assert_recovered(result, replay.final_loads)
+        assert result.restarts == 2
+        first, second = result.failures
+        assert 0 < first["resumed_from"] < second["resumed_from"] <= 1500
+
+
+class TestRecoveryCostIsFlat:
+    """Recovery cost does not grow with how far in the kill lands.
+
+    Counts, not timings: the messages a restart re-delivers are bounded
+    by what can sit between a checkpoint and the source -- a full ring,
+    one checkpoint interval, one drain batch -- at every kill position
+    of a 2M-message stream.
+    """
+
+    @pytest.fixture(scope="class")
+    def long_stream(self):
+        keys = get_dataset("WP").stream(2_000_000, seed=3)
+        replay = replay_stream(keys, make_partitioner("pkg", 4, seed=3))
+        return keys, replay.final_loads
+
+    @pytest.mark.parametrize("mode", modes())
+    def test_replay_is_bounded_at_every_kill_position(self, mode, long_stream):
+        keys, expected = long_stream
+        for at in (10_000, 200_000, 450_000):
+            config = RuntimeConfig(
+                mode=mode,
+                recovery="restart",
+                faults=FaultPlan.parse([f"kill:w=1@n={at}"], seed=3),
+            )
+            bound = (
+                config.capacity + config.checkpoint_interval + config.max_batch
+            )
+            result = run_runtime(keys, make_partitioner("pkg", 4, seed=3), config)
+            assert_recovered(result, expected)
+            (event,) = result.failures
+            assert event["delivered"] > at
+            assert event["replayed"] <= bound, (at, event)
+            assert event["replayed"] == event["delivered"] - event["resumed_from"]
+
+
 class TestRerouteSimulated:
     def test_degraded_run_conserves_and_masks(self):
         plan = FaultPlan.parse(["kill:w=1@n=1000"], seed=42)
@@ -238,6 +423,23 @@ class TestProcessChaosMatrix:
         np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
         if replay.final_loads[1] >= 500:
             assert result.restarts >= 1
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_kill_restart_from_checkpoint_every_scheme(self, scheme):
+        plan = FaultPlan.parse(["kill:w=1@n=1000"], seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner(scheme, 4, seed=42),
+            process_config("restart", plan, checkpoint_interval=128),
+        )
+        replay = replay_stream(STREAM, make_partitioner(scheme, 4, seed=42))
+        assert result.mode == "process"
+        assert_recovered(result, replay.final_loads)
+        if replay.final_loads[1] >= 1000:
+            assert result.restarts == 1
+            (event,) = result.failures
+            assert event["resumed_from"] > 0
+            assert event["replayed"] == event["delivered"] - event["resumed_from"]
 
     @pytest.mark.parametrize("scheme", PROCESS_SCHEMES)
     def test_kill_reroute_conserves_degraded(self, scheme):

@@ -3,10 +3,11 @@
 The chaos-matrix end-to-end runs live in ``test_runtime_chaos.py``;
 this file pins the building blocks one at a time: the ``--fault``
 grammar, the restart cause-consumption rule, heartbeat lanes and the
-liveness detector, deadline-bounded pushes against a consumer that
-died mid-push, process reaping (with the /dev/shm leak check), worker
-masking with deterministic deputies, and the recovery knobs on
-``RuntimeConfig``.
+liveness detector, checkpoint records (torn writes, resuming a worker
+from one), the route log restart replays from, deadline-bounded
+pushes against a consumer that died mid-push, process reaping (with
+the /dev/shm leak check), worker masking with deterministic deputies,
+and the recovery knobs on ``RuntimeConfig``.
 """
 
 import math
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.api import make_partitioner
-from repro.core.chunks import ArrayChunkSource, fork_source, iter_keyed_chunks
+from repro.core.chunks import counting_scatter
+from repro.core.engine import route_chunked
 from repro.partitioning.base import MASKED_LOAD
 from repro.runtime import (
     FaultPlan,
@@ -38,7 +40,15 @@ from repro.runtime import (
     validate_fault_spec,
 )
 from repro.runtime.__main__ import main as runtime_main
+from repro.runtime.engine import _RouteLog
 from repro.runtime.faults import FaultState, consume_cause
+from repro.runtime.worker import (
+    RECORD_SLOTS,
+    Checkpoint,
+    init_record,
+    read_record,
+    write_record,
+)
 from repro.streams.datasets import get_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -201,6 +211,115 @@ class TestHeartbeats:
         assert 0.0 < first <= 30.0
         # Observing must not clear the fault machine's stall state.
         assert loop.stall_remaining(now) == pytest.approx(first)
+
+
+def _fresh_record():
+    record = np.zeros(RECORD_SLOTS, dtype=np.int64)
+    init_record(record)
+    return record
+
+
+class TestCheckpointRecord:
+    def test_fresh_record_is_the_empty_checkpoint(self):
+        assert read_record(_fresh_record()) == Checkpoint(0, 0, -1)
+
+    def test_every_publish_reads_back(self):
+        record = _fresh_record()
+        for i in range(1, 6):
+            write_record(record, Checkpoint(i, 2 * i, 10 * i))
+            assert read_record(record) == Checkpoint(i, 2 * i, 10 * i)
+
+    def test_torn_write_keeps_the_committed_checkpoint(self):
+        # A kill between two stores of a publish: any prefix of its
+        # stores short of the generation word (slot 0) must leave the
+        # last committed checkpoint readable.
+        record = _fresh_record()
+        write_record(record, Checkpoint(5, 1, 40))
+        before = record.copy()
+        write_record(record, Checkpoint(9, 2, 80))
+        after = record.copy()
+        changed = [i for i in np.flatnonzero(before != after) if i != 0]
+        assert changed
+        for landed in range(len(changed) + 1):
+            record[:] = before
+            record[changed[:landed]] = after[changed[:landed]]
+            assert read_record(record) == Checkpoint(5, 1, 40)
+        record[:] = after
+        assert read_record(record) == Checkpoint(9, 2, 80)
+
+    def test_worker_resumes_from_its_record(self):
+        # A restarted worker counts on from the record: faults below the
+        # checkpointed count stay fired (a slow factor persists), one at
+        # exactly the count fires at the same sub-stream message.
+        record = _fresh_record()
+        write_record(record, Checkpoint(300, 20, 999))
+        ring = SpscRing.create_local(64)
+        loop = WorkerLoop(
+            0,
+            ring,
+            record=record,
+            faults=(
+                FaultSpec(kind="slow", worker=0, at_messages=50, factor=2.0),
+                FaultSpec(kind="drop", worker=0, at_messages=100, count=20),
+                FaultSpec(kind="drop", worker=0, at_messages=300, count=5),
+            ),
+        )
+        assert (loop.count, loop.fault_dropped, loop.last_id) == (300, 20, 999)
+        assert [s.at_messages for s in loop.fired_faults] == [50, 100]
+        ring.try_push(np.arange(1000, 1010), np.zeros(10))
+        ring.mark_done()
+        loop.drain_until_done()
+        assert (loop.count, loop.fault_dropped) == (305, 25)
+        assert read_record(record) == Checkpoint(305, 25, 1009)
+
+    def test_drained_worker_publishes(self):
+        record = _fresh_record()
+        ring = SpscRing.create_local(64)
+        loop = WorkerLoop(0, ring, record=record, checkpoint_interval=1000)
+        ring.try_push(np.arange(10), np.zeros(10))
+        loop.step()
+        assert read_record(record) == Checkpoint()
+        loop.step()  # ring empty: a caught-up worker checkpoints
+        assert read_record(record) == Checkpoint(10, 0, 9)
+
+
+class TestRouteLog:
+    """The routed chunks restart reads a worker's lost span from."""
+
+    CHUNK = 100
+
+    def _log(self, horizon):
+        """A route log over STREAM, trimmed to ``horizon(start)``."""
+        partitioner = make_partitioner("pkg", 4, seed=1)
+        log = _RouteLog()
+        for start in range(0, STREAM.size, self.CHUNK):
+            assigned = partitioner.route_chunk(STREAM[start : start + self.CHUNK])
+            _counts, bounds, grouped = counting_scatter(assigned, 4, base=start)
+            log.chunks.append((start, bounds.tolist(), grouped))
+            log.trim(horizon(start))
+        return log
+
+    def test_trim_keeps_only_the_chunk_at_the_horizon(self):
+        log = self._log(lambda start: start)
+        assert len(log.chunks) == 1
+
+    def test_a_stuck_horizon_keeps_everything(self):
+        log = self._log(lambda start: 0)
+        assert len(log.chunks) == STREAM.size // self.CHUNK
+
+    def test_lost_span_reads_the_workers_ids(self):
+        log = self._log(lambda start: max(start - 1_000, 0))
+        assert log.chunks[0][0] > 0
+        assigned = route_chunked(
+            STREAM, make_partitioner("pkg", 4, seed=1), chunk_size=self.CHUNK
+        )
+        mine = np.flatnonzero(assigned == 2)
+        after = int(mine[mine < STREAM.size - 900][-1])
+        expected = mine[mine > after][:25]
+        got = np.concatenate(list(log.lost_span(2, after, expected.size)))
+        np.testing.assert_array_equal(got, expected)
+        with pytest.raises(AssertionError, match="past the routed stream"):
+            list(log.lost_span(2, after, mine.size))
 
 
 class TestPushDeadline:
@@ -455,26 +574,6 @@ class TestMasking:
         first = masked.route_chunk(keys[:2000])
         clean_first = clean.route_chunk(keys[:2000])
         np.testing.assert_array_equal(first, clean_first)
-
-
-class TestChunkSourceFork:
-    def test_fork_mid_iteration_restarts_from_zero(self):
-        keys = STREAM[:1000]
-        source = ArrayChunkSource(keys, seed=0, chunk_size=100)
-        it = iter_keyed_chunks(source, 100, None)
-        consumed = [next(it) for _ in range(3)]
-        fork = fork_source(source)
-        replayed = list(iter_keyed_chunks(fork, 100, None))
-        assert len(replayed) == 10
-        assert replayed[0][0] == 0  # fork starts at message zero
-        np.testing.assert_array_equal(replayed[2][2], consumed[2][2])
-        # The original keeps its own position.
-        start, _stop, _chunk, _times = next(it)
-        assert start == 300
-
-    def test_fork_source_is_identity_for_arrays(self):
-        keys = STREAM[:100]
-        assert fork_source(keys) is keys
 
 
 class TestFaultState:
