@@ -130,6 +130,14 @@ class NativeKernels:
         lib.repro_running_stats.argtypes = [
             _DOUBLE_P, ctypes.c_int64, ctypes.c_int64, _DOUBLE_P,
         ]
+        lib.repro_cdf_sample.argtypes = [
+            _DOUBLE_P, ctypes.c_int64, _DOUBLE_P, ctypes.c_int64, _INT64_P,
+            ctypes.c_int64, _INT64_P,
+        ]
+        lib.repro_lindley.argtypes = [
+            _INT64_P, ctypes.c_int64, _DOUBLE_P, _DOUBLE_P, ctypes.c_int64,
+            _DOUBLE_P, _DOUBLE_P, _INT64_P, _DOUBLE_P, _DOUBLE_P,
+        ]
         lib.repro_wordcount.argtypes = [ctypes.POINTER(_WordCountState)]
         lib.repro_wordcount.restype = ctypes.c_int64
         for fn in (
@@ -141,6 +149,8 @@ class NativeKernels:
             lib.repro_interleaved_route,
             lib.repro_counting_scatter,
             lib.repro_running_stats,
+            lib.repro_cdf_sample,
+            lib.repro_lindley,
         ):
             fn.restype = None
 
@@ -264,6 +274,57 @@ class NativeKernels:
             self._f64(values), values.size, count, self._f64(stats)
         )
         return float(stats[0]), float(stats[1])
+
+    def cdf_sample(
+        self, u: np.ndarray, cdf: np.ndarray, guide: np.ndarray, out: np.ndarray
+    ) -> None:
+        """``out = np.searchsorted(cdf, u, side="right")``, started from
+        the guide table ``guide[j] = np.searchsorted(cdf, j / G,
+        side="right")`` of ``G = guide.size`` entries.  The kernel
+        trusts the guide's entries to lie in ``[0, cdf.size]``."""
+        if guide.size < 1 or cdf.size < 1:
+            raise ValueError("cdf_sample needs a non-empty cdf and guide table")
+        if out.size != u.size:
+            raise ValueError(f"out has {out.size} slots for {u.size} draws")
+        self._lib.repro_cdf_sample(
+            self._f64(u), u.size, self._f64(cdf), cdf.size,
+            self._i64(guide), guide.size, self._i64(out),
+        )
+
+    def lindley(
+        self,
+        workers: np.ndarray,
+        arrival: np.ndarray,
+        service: np.ndarray,
+        warmup: int,
+        free: np.ndarray,
+        busy: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Lindley pass over routed ``workers``: advances each
+        worker's ``free`` time and ``busy`` total in place, and returns
+        ``(bounds, sojourns, waiting)`` -- worker ``w``'s post-warmup
+        samples are ``[bounds[w]:bounds[w + 1]]`` of each, in its FIFO
+        order."""
+        n, num_workers = workers.size, free.size
+        if arrival.size != n or service.size != n:
+            raise ValueError("need one arrival and one service time per message")
+        if busy.size != num_workers:
+            raise ValueError("free and busy need one slot per worker")
+        if not 0 <= warmup <= n:
+            raise ValueError(f"warmup {warmup} outside [0, {n}]")
+        # The kernel indexes free, busy and the slices by worker: check them.
+        if n and (workers.min() < 0 or workers.max() >= num_workers):
+            raise ValueError(f"workers outside [0, {num_workers})")
+        bounds = np.zeros(num_workers + 1, dtype=np.int64)
+        np.cumsum(np.bincount(workers[warmup:], minlength=num_workers), out=bounds[1:])
+        sojourns = np.empty(n - warmup, dtype=np.float64)
+        waiting = np.empty_like(sojourns)
+        self._lib.repro_lindley(
+            self._i64(workers), n, self._f64(arrival), self._f64(service),
+            warmup, self._f64(free), self._f64(busy), self._i64(bounds[:-1].copy()),
+            self._f64(sojourns), self._f64(waiting),
+        )
+        return bounds, sojourns, waiting
 
     def wordcount(
         self, service: Sequence[float], num_keys: int, window: int, **timing: float

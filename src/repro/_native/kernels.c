@@ -637,3 +637,59 @@ void repro_running_stats(const double *values, int64_t n, int64_t count,
     stats[0] = mean;
     stats[1] = max;
 }
+
+/* ---- Inverse-CDF key sampling (repro.streams.distributions) -------------
+ *
+ * out[i] = the least k with u[i] < cdf[k] (num_keys when there is none),
+ * exactly np.searchsorted(cdf, u, side="right") over a non-decreasing
+ * cdf, for every u that is not NaN.  guide[j] is that search's answer
+ * for u = j / G, so for u in bucket floor(u * G) it is a lower bound on
+ * the answer: the walk starts there and steps up.  It also steps down,
+ * so a bucket index that float rounding moved by one still ends on the
+ * exact answer.  With G = num_keys a draw walks one entry on average.
+ */
+void repro_cdf_sample(const double *u, int64_t m, const double *cdf,
+                      int64_t num_keys, const int64_t *guide, int64_t G,
+                      int64_t *out)
+{
+    const double buckets = (double)G;
+    for (int64_t i = 0; i < m; i++) {
+        double x = u[i];
+        double at = x * buckets;
+        int64_t k = guide[at > 0.0 ? (at < buckets ? (int64_t)at : G - 1) : 0];
+        while (k > 0 && cdf[k - 1] > x)
+            k--;
+        while (k < num_keys && cdf[k] <= x)
+            k++;
+        out[i] = k;
+    }
+}
+
+/* ---- Lindley pass (repro.queueing.simulator) ----------------------------
+ *
+ * _simulate_lindley's loop over routed messages: message i departs at
+ * max(arrival, free[w]) + service from worker w = workers[i], with the
+ * Python loop's float operations in its order.  Post-warmup message i
+ * writes its sojourn and waiting time at cursors[w]++, so with cursors
+ * starting at each worker's slice offset every worker's samples land
+ * contiguously, in its FIFO order.
+ */
+void repro_lindley(const int64_t *workers, int64_t n, const double *arrival,
+                   const double *service, int64_t warmup, double *free,
+                   double *busy, int64_t *cursors, double *sojourn,
+                   double *waiting)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t w = workers[i];
+        double a = arrival[i], s = service[i], ready = free[w];
+        double departure = (a > ready ? a : ready) + s;
+        free[w] = departure;
+        busy[w] += s;
+        if (i >= warmup) {
+            double stay = departure - a;
+            int64_t at = cursors[w]++;
+            sojourn[at] = stay;
+            waiting[at] = stay - s;
+        }
+    }
+}

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional, cast
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
+from repro._native import get_kernels
 from repro.core.chunks import KeyStream, as_key_array
 from repro.core.engine import EventLoop
 from repro.queueing.arrivals import (
@@ -68,6 +69,9 @@ __all__ = [
 
 #: the departure-feedback hook queue-aware partitioners may expose.
 CompletionHook = Callable[[int, float], None]
+
+#: one worker's latency samples, in its FIFO order
+_Samples = Union[List[float], np.ndarray]
 
 #: keys routed per ``route_chunk`` call on the Lindley pass; bounds the
 #: per-chunk arrays the routing kernels allocate.
@@ -137,8 +141,8 @@ def _result(
     completed: int,
     dropped: int,
     end_time: float,
-    buffers: List[List[float]],
-    waiting_buffers: List[List[float]],
+    buffers: Sequence[_Samples],
+    waiting_buffers: Sequence[_Samples],
     busy_time: np.ndarray,
     dropped_per_worker: np.ndarray,
     warmup_messages: int,
@@ -243,7 +247,7 @@ def _simulate_lindley(
     key_array: np.ndarray,
     partitioner: "Partitioner",
     arrival_array: np.ndarray,
-    service_times: List[float],
+    service_array: np.ndarray,
     warmup: int,
     relative_error: float,
 ) -> QueueingResult:
@@ -257,45 +261,87 @@ def _simulate_lindley(
     at the arrival when the worker is idle and at its predecessor's
     departure otherwise, the very floats the event loop adds; each
     worker's departures, sketch samples and busy time accumulate in its
-    FIFO order, as the event loop's do.
+    FIFO order, as the event loop's do.  The native ``repro_lindley``
+    makes the pass when the kernels are built, with the same float
+    operations in the same order; :func:`_lindley_python` is its
+    reference.
     """
     n = int(key_array.size)
     num_workers = partitioner.num_workers
-    arrival_times: List[float] = arrival_array.tolist()
-    free = [0.0] * num_workers
-    busy_time = [0.0] * num_workers
-    buffers: List[List[float]] = [[] for _ in range(num_workers)]
-    waiting_buffers: List[List[float]] = [[] for _ in range(num_workers)]
+    workers = np.empty(n, dtype=np.int64)
     for start in range(0, n, _ROUTE_CHUNK):
         stop = min(n, start + _ROUTE_CHUNK)
-        workers = partitioner.route_chunk(
+        workers[start:stop] = partitioner.route_chunk(
             key_array[start:stop], arrival_array[start:stop]
-        ).tolist()
-        for index, worker in enumerate(workers, start):
-            arrival = arrival_times[index]
-            duration = service_times[index]
-            ready = free[worker]
-            departure = (arrival if arrival > ready else ready) + duration
-            free[worker] = departure
-            busy_time[worker] += duration
-            if index >= warmup:
-                sojourn = departure - arrival
-                buffers[worker].append(sojourn)
-                waiting_buffers[worker].append(sojourn - duration)
+        )
+    kernels = get_kernels()
+    arrival_array = np.ascontiguousarray(arrival_array, dtype=np.float64)
+    service_array = np.ascontiguousarray(service_array, dtype=np.float64)
+    free = np.zeros(num_workers, dtype=np.float64)
+    busy_time = np.zeros(num_workers, dtype=np.float64)
+    if kernels is not None:
+        bounds, sojourns, waiting = kernels.lindley(
+            workers, arrival_array, service_array, warmup, free, busy_time
+        )
+        edges = bounds.tolist()
+        buffers: Sequence[_Samples] = [
+            sojourns[lo:hi] for lo, hi in zip(edges, edges[1:])
+        ]
+        waiting_buffers: Sequence[_Samples] = [
+            waiting[lo:hi] for lo, hi in zip(edges, edges[1:])
+        ]
+    else:
+        buffers, waiting_buffers = _lindley_python(
+            workers, arrival_array, service_array, warmup, free, busy_time
+        )
     return _result(
         num_workers,
         n,
         n,
         0,
         # each worker's last departure is its latest; 0.0 when n == 0
-        max(free),
+        float(free.max()),
         buffers,
         waiting_buffers,
-        np.asarray(busy_time, dtype=np.float64),
+        busy_time,
         np.zeros(num_workers, dtype=np.int64),
         warmup,
         relative_error,
     )
+
+
+def _lindley_python(
+    workers: np.ndarray,
+    arrival_array: np.ndarray,
+    service_array: np.ndarray,
+    warmup: int,
+    free_out: np.ndarray,
+    busy_out: np.ndarray,
+) -> Tuple[List[List[float]], List[List[float]]]:
+    """The Lindley pass in Python, the reference of ``repro_lindley``:
+    per-worker sojourn and waiting lists, with each worker's last
+    departure and busy total written to ``free_out`` and ``busy_out``."""
+    num_workers = free_out.size
+    arrival_times: List[float] = arrival_array.tolist()
+    service_times: List[float] = service_array.tolist()
+    free = [0.0] * num_workers
+    busy = [0.0] * num_workers
+    buffers: List[List[float]] = [[] for _ in range(num_workers)]
+    waiting_buffers: List[List[float]] = [[] for _ in range(num_workers)]
+    for index, worker in enumerate(workers.tolist()):
+        arrival = arrival_times[index]
+        duration = service_times[index]
+        ready = free[worker]
+        departure = (arrival if arrival > ready else ready) + duration
+        free[worker] = departure
+        busy[worker] += duration
+        if index >= warmup:
+            sojourn = departure - arrival
+            buffers[worker].append(sojourn)
+            waiting_buffers[worker].append(sojourn - duration)
+    free_out[:] = free
+    busy_out[:] = busy
+    return buffers, waiting_buffers
 
 
 def simulate_queueing(
@@ -328,12 +374,13 @@ def simulate_queueing(
 
     rng = np.random.default_rng(seed)
     arrival_array = arrivals.arrival_times(n, rng)
-    service_times = service.sample(n, rng).tolist()
+    service_array = service.sample(n, rng)
     if queue_capacity is None and getattr(partitioner, "on_complete", None) is None:
         return _simulate_lindley(
-            key_array, partitioner, arrival_array, service_times, warmup, relative_error
+            key_array, partitioner, arrival_array, service_array, warmup, relative_error
         )
     arrival_times = arrival_array.tolist()
+    service_times = service_array.tolist()
 
     loop = EventLoop()
     stations = _Stations(loop, partitioner, arrival_times, service_times, warmup)

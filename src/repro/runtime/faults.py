@@ -306,6 +306,15 @@ class FaultPlan:
         return " ".join(s.describe() for s in self.specs) or "(no faults)"
 
 
+def _trigger_order(spec: FaultSpec) -> Tuple[float, float]:
+    """The order a worker's :class:`FaultState` fires its specs in:
+    n-triggers by count, then s-triggers by time."""
+    return (
+        spec.at_messages if spec.at_messages is not None else math.inf,
+        spec.at_seconds if spec.at_seconds is not None else math.inf,
+    )
+
+
 def consume_cause(
     specs: Sequence[FaultSpec], reason: str
 ) -> Tuple[FaultSpec, ...]:
@@ -315,20 +324,21 @@ def consume_cause(
     is consumed while every *later* fault on the same worker stays
     armed (it fires again during or after the replay, and recovery
     handles it recursively, bounded by the restart limit).  ``reason``
-    picks the kind: ``"exit"`` consumes the first kill, ``"wedged"``
-    the first stall; if no kind-matching spec exists the first lethal
-    spec is consumed instead, and a worker that died with no matching
-    fault at all (a genuine crash) keeps its specs unchanged.
+    picks the kind: ``"exit"`` consumes a kill, ``"wedged"`` a stall;
+    if no kind-matching spec exists a lethal spec is consumed instead,
+    and a worker that died with no matching fault at all (a genuine
+    crash) keeps its specs unchanged.  Of the candidates, the one that
+    fired is the earliest to trigger -- plan order breaks ties -- since
+    a worker fires its specs in trigger order.
     """
     kinds = {"exit": ("kill",), "wedged": ("stall",)}.get(reason, ())
     specs = tuple(specs)
-    idx = next(
-        (i for i, s in enumerate(specs) if s.kind in kinds), None
-    )
-    if idx is None:
-        idx = next((i for i, s in enumerate(specs) if s.lethal), None)
-    if idx is None:
+    candidates = [i for i, s in enumerate(specs) if s.kind in kinds]
+    if not candidates:
+        candidates = [i for i, s in enumerate(specs) if s.lethal]
+    if not candidates:
         return specs
+    idx = min(candidates, key=lambda i: (_trigger_order(specs[i]), i))
     return specs[:idx] + specs[idx + 1 :]
 
 
@@ -357,13 +367,7 @@ class FaultState:
     fired: List[FaultSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._pending = sorted(
-            self.specs,
-            key=lambda s: (
-                s.at_messages if s.at_messages is not None else math.inf,
-                s.at_seconds if s.at_seconds is not None else math.inf,
-            ),
-        )
+        self._pending = sorted(self.specs, key=_trigger_order)
 
     def message_budget(self, count: int) -> Optional[int]:
         """Messages processable before the next n-trigger must fire.

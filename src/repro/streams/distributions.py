@@ -4,7 +4,10 @@ Keys are identified with their ranks ``0 .. K-1`` ordered by decreasing
 probability (``p1 >= p2 >= ...``), as in the paper.  Every distribution
 exposes the probability vector, the head probability ``p1`` (the single
 quantity that drives the paper's feasibility threshold ``W = O(1/p1)``),
-and fast sampling through a cached inverse-CDF.
+and fast sampling through a cached inverse-CDF.  With the native
+kernels built, the inverse CDF starts each search from a guide table of
+``K`` entries, so a draw costs O(1) expected instead of a binary
+search's O(log K), and returns the very key ``np.searchsorted`` would.
 
 Two streaming extras feed the runtime's bounded-memory mode:
 
@@ -14,10 +17,10 @@ Two streaming extras feed the runtime's bounded-memory mode:
   draws concatenate **byte-identically** to one materialised
   ``sample(m)`` under the same seed -- the property the runtime's
   streaming ``--verify`` rests on.
-* :class:`AliasSampler` (Vose's alias method) is the O(1)-per-draw
-  alternative for huge key universes: O(K) build, one uniform and two
-  table reads per key, no binary search.  Same rng consumption (one
-  ``random()`` per draw) but a *different* mapping from uniforms to
+* :class:`AliasSampler` (Vose's alias method) is the other O(1)-per-draw
+  sampler, and the one that stays O(1) without the native kernels: O(K)
+  build, one uniform and two table reads per key.  Same rng consumption
+  (one ``random()`` per draw) but a *different* mapping from uniforms to
   keys, so it is deterministic under a seed yet not byte-identical to
   the inverse-CDF stream.
 """
@@ -29,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro._native import get_kernels
 from repro.core.chunks import DEFAULT_CHUNK_SIZE, ChunkSource
 
 
@@ -36,13 +40,15 @@ class KeyDistribution(ABC):
     """A discrete distribution over the key universe ``[0, K)``.
 
     Subclasses implement :meth:`_build_probabilities`; the base class
-    caches the probability vector (sorted by decreasing probability) and
-    its CDF for O(log K) sampling per message.
+    caches the probability vector (sorted by decreasing probability),
+    its CDF and the CDF's guide table for O(1) expected sampling per
+    message (O(log K) on the pure-Python path).
     """
 
     def __init__(self) -> None:
         self._probs: Optional[np.ndarray] = None
         self._cdf: Optional[np.ndarray] = None
+        self._guide: Optional[np.ndarray] = None
         self._alias: Optional["AliasSampler"] = None
 
     @abstractmethod
@@ -119,11 +125,31 @@ class KeyDistribution(ABC):
             rng = np.random.default_rng(seed)
         elif seed is not None:
             raise ValueError("pass either rng or seed, not both")
+        return self.invert(rng.random(size))
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The keys at uniforms ``u``: the least ``k`` with
+        ``u < cdf[k]``, i.e. ``np.searchsorted(cdf, u, side="right")``.
+
+        The native kernel walks from the guide table ``guide[j] =
+        searchsorted(cdf, j / K)``, a lower bound on the answer for every
+        ``u`` in bucket ``j``; it returns the same int64 keys as the
+        binary search, which runs when the kernels are off.
+        """
         if self._cdf is None:
             self._cdf = np.cumsum(self.probabilities)
             self._cdf[-1] = 1.0
-        u = rng.random(size)
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+        cdf = self._cdf
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        kernels = get_kernels()
+        if kernels is None:
+            return np.searchsorted(cdf, u, side="right").astype(np.int64)
+        if self._guide is None:
+            edges = np.arange(cdf.size, dtype=np.float64) / cdf.size
+            self._guide = np.searchsorted(cdf, edges, side="right").astype(np.int64)
+        out = np.empty(u.shape, dtype=np.int64)
+        kernels.cdf_sample(u, cdf, self._guide, out)
+        return out
 
     def expected_counts(self, num_messages: int) -> np.ndarray:
         """Expected number of occurrences per key in a stream of length m."""
@@ -148,8 +174,8 @@ class KeyDistribution(ABC):
         to ``sample(num_messages, seed=seed)`` chunk boundaries or not,
         because sequential ``Generator.random`` calls concatenate
         exactly.  ``method="alias"`` draws through the alias table --
-        O(1) per key instead of O(log K), still deterministic under the
-        seed, but a different stream.
+        O(1) per key with or without the native kernels, still
+        deterministic under the seed, but a different stream.
         """
         return DistributionChunkSource(
             self, num_messages, seed=seed, chunk_size=chunk_size, method=method

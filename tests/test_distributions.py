@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro._native import get_kernels
+from repro.streams.datasets import get_dataset, list_datasets
 from repro.streams.distributions import (
     EmpiricalKeyDistribution,
     LogNormalKeyDistribution,
@@ -158,3 +160,90 @@ class TestCommonProperties:
     def test_expected_counts(self):
         d = UniformKeyDistribution(4)
         assert np.allclose(d.expected_counts(100), 25.0)
+
+
+def cdf_probes(dist):
+    """Every CDF value, each guide-bucket edge ``j / K``, their float
+    neighbours on both sides, and 0.0: the uniforms where a guide-table
+    walk could stop one key off."""
+    dist.sample(1, np.random.default_rng(0))  # builds the cached CDF
+    cdf = dist._cdf
+    edges = np.arange(cdf.size, dtype=np.float64) / cdf.size
+    points = np.concatenate([cdf, edges, [0.0]])
+    return np.concatenate(
+        [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)]
+    )
+
+
+def assert_inverts_like_searchsorted(dist, u):
+    keys = dist.invert(u)
+    assert keys.dtype == np.int64
+    np.testing.assert_array_equal(keys, np.searchsorted(dist._cdf, u, side="right"))
+
+
+class TestInverseCdfSampling:
+    """Whichever path runs -- the guide-table kernel, or the binary
+    search under ``REPRO_NO_NATIVE=1`` -- every uniform maps to the key
+    ``np.searchsorted(cdf, u, side="right")`` names."""
+
+    @pytest.mark.parametrize("symbol", list_datasets())
+    def test_every_dataset_distribution(self, symbol):
+        dist = get_dataset(symbol).distribution()
+        u = np.concatenate([cdf_probes(dist), np.random.default_rng(1).random(50_000)])
+        assert_inverts_like_searchsorted(dist, u)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            # zero-weight keys: the CDF ends in a plateau of 1.0s
+            [5.0, 0.0, 3.0, 0.0, 2.0, 0.0, 0.0],
+            # weights too small to move the sum: ties from the head on
+            [1.0, 1e-20, 1e-20, 1e-30],
+            [3.0, 3.0, 1.0, 1.0, 1.0, 0.0],
+        ],
+        ids=["one-key", "zero-weights", "absorbed", "ties"],
+    )
+    def test_degenerate_cdfs(self, weights):
+        dist = EmpiricalKeyDistribution(weights)
+        u = np.concatenate([cdf_probes(dist), np.linspace(0.0, 1.0, 1_001)])
+        assert_inverts_like_searchsorted(dist, u)
+        keys = dist.sample(20_000, np.random.default_rng(2))
+        assert dist.probabilities[np.unique(keys)].min() > 0
+
+    @pytest.mark.parametrize("num_keys", [12, 96, 50_000])
+    def test_cdf_values_on_bucket_edges(self, num_keys):
+        # Uniform CDF values sit within an ulp of the edges j / K, so a
+        # uniform just below an edge can round into the next bucket,
+        # whose guide entry is one key past the answer: the walk must
+        # step back down.
+        dist = UniformKeyDistribution(num_keys)
+        assert_inverts_like_searchsorted(dist, cdf_probes(dist))
+
+    def test_sample_is_invert_of_the_same_uniforms(self):
+        dist = get_dataset("WP").distribution()
+        keys = dist.sample(10_000, np.random.default_rng(9))
+        u = np.random.default_rng(9).random(10_000)
+        np.testing.assert_array_equal(keys, np.searchsorted(dist._cdf, u, side="right"))
+
+    @pytest.mark.parametrize("size", [0, 1, 16_384])
+    def test_rng_stream_is_unchanged(self, size):
+        dist = get_dataset("WP").distribution()
+        rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+        keys = dist.sample(size, rng)
+        reference.random(size)
+        assert keys.shape == (size,) and keys.dtype == np.int64
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_kernel_walks_from_a_guide_table(self):
+        if get_kernels() is None:
+            pytest.skip("native kernels off or unavailable")
+        dist = ZipfKeyDistribution(1.1, 1_000)
+        dist.sample(10, np.random.default_rng(0))
+        guide = dist._guide
+        assert guide is not None and guide.size == dist.num_keys
+        # each entry is the search's own answer at its bucket's edge
+        edges = np.arange(guide.size) / guide.size
+        np.testing.assert_array_equal(
+            guide, np.searchsorted(dist._cdf, edges, side="right")
+        )

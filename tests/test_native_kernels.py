@@ -258,6 +258,22 @@ class TestArgumentGuards:
                 keys, mixes, np.empty(0, np.int64), np.empty(5, np.int64)
             )
 
+    def test_lindley_and_sampler_refuse_bad_shapes(self):
+        kernels = get_kernels()
+        times = np.ones(3, dtype=np.float64)
+        free, busy = np.zeros(2), np.zeros(2)
+        with pytest.raises(ValueError, match="workers outside"):
+            kernels.lindley(np.array([0, 2, 1]), times, times, 0, free, busy)
+        with pytest.raises(ValueError, match="one arrival"):
+            kernels.lindley(np.array([0, 1]), times, times, 0, free, busy)
+        with pytest.raises(ValueError, match="warmup"):
+            kernels.lindley(np.array([0, 1, 1]), times, times, 4, free, busy)
+        cdf, guide = np.array([0.5, 1.0]), np.zeros(2, dtype=np.int64)
+        with pytest.raises(ValueError, match="slots"):
+            kernels.cdf_sample(times, cdf, guide, np.empty(2, np.int64))
+        with pytest.raises(ValueError, match="non-empty"):
+            kernels.cdf_sample(times, cdf, guide[:0], np.empty(3, np.int64))
+
     def test_guards_survive_optimised_python(self):
         code = (
             "import numpy as np\n"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._native import get_kernels
 from repro.api import available_schemes, make_partitioner
 from repro.partitioning import JoinBoundedShortestQueue, Partitioner
 from repro.queueing import (
@@ -14,6 +15,7 @@ from repro.queueing import (
     TraceArrivals,
     simulate_queueing,
 )
+from repro.queueing.simulator import _ROUTE_CHUNK
 
 
 def run(partitioner, n=5_000, rho=0.8, seed=7, **kwargs):
@@ -362,3 +364,39 @@ class TestLindleyPath:
         run(make_partitioner("pkg", 4), n=500, queue_capacity=8)
         with pytest.raises(AssertionError, match="Lindley"):
             run(make_partitioner("pkg", 4), n=500)
+
+    @pytest.mark.parametrize("scheme", QUEUE_BLIND_SCHEMES)
+    @pytest.mark.parametrize(
+        "n,warmup_fraction",
+        [(0, 0.0), (1, 0.0), (10, 0.95), (_ROUTE_CHUNK + 123, 0.1)],
+        ids=["empty", "one", "warmup-n-1", "ragged-chunks"],
+    )
+    def test_native_pass_matches_python(self, monkeypatch, scheme, n, warmup_fraction):
+        keys = np.random.default_rng(5).zipf(1.5, size=n).astype(np.int64) % 500
+        runs = []
+        for native in (True, False):
+            with monkeypatch.context() as patch:
+                if native:
+                    patch.delenv("REPRO_NO_NATIVE", raising=False)
+                    if get_kernels() is None:
+                        pytest.skip("native kernels unavailable")
+                else:
+                    patch.setenv("REPRO_NO_NATIVE", "1")
+                partitioner = make_partitioner(scheme, LINDLEY_WORKERS, seed=3)
+                result = simulate_queueing(
+                    keys,
+                    partitioner,
+                    PoissonArrivals(LINDLEY_LAM),
+                    BimodalService(0.5 / LINDLEY_MU, 5.5 / LINDLEY_MU, 0.1),
+                    seed=5,
+                    warmup_fraction=warmup_fraction,
+                )
+            runs.append((result, partitioner))
+        # end_time, busy_time, waiting and every sketch, field by field
+        assert_same_run(*runs)
+        native, python = runs[0][0], runs[1][0]
+        assert native.warmup_messages == int(warmup_fraction * n)
+        for a, b in zip(native.worker_latency, python.worker_latency):
+            assert a.mean() == b.mean()
+            if a.count:
+                assert a.quantiles([0.5, 0.99]) == b.quantiles([0.5, 0.99])

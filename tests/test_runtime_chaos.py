@@ -339,6 +339,25 @@ class TestRestartFromCheckpoint:
         first, second = result.failures
         assert 0 < first["resumed_from"] < second["resumed_from"] <= 1500
 
+    @pytest.mark.parametrize("mode", modes())
+    @pytest.mark.parametrize("late_first", [False, True], ids=["in-order", "reversed"])
+    def test_two_kills_fire_in_trigger_order(self, mode, late_first):
+        # Restart consumes the kill that fired -- the earliest trigger --
+        # whatever the plan order: the n=1500 kill must still fire after
+        # the n=500 one, instead of the n=500 kill firing twice.
+        specs = ["kill:w=1@n=500", "kill:w=1@n=1500"]
+        plan = FaultPlan.parse(specs[::-1] if late_first else specs, seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            make_config(mode, "restart", plan, checkpoint_interval=128),
+        )
+        replay = replay_stream(STREAM, make_partitioner("pkg", 4, seed=42))
+        assert_recovered(result, replay.final_loads)
+        assert result.restarts == 2
+        first, second = result.failures
+        assert 0 < first["checkpointed"] <= 500 < second["checkpointed"] <= 1500
+
 
 class TestRecoveryCostIsFlat:
     """Recovery cost does not grow with how far in the kill lands.

@@ -149,6 +149,12 @@ class TestConsumeCause:
         left = consume_cause((self.DROP, self.KILL), "finish-timeout")
         assert left == (self.DROP,)
 
+    def test_consumes_the_earliest_trigger_not_the_first_listed(self):
+        late = FaultSpec(kind="kill", worker=0, at_messages=1500)
+        early = FaultSpec(kind="kill", worker=0, at_messages=500)
+        assert consume_cause((late, early), "exit") == (late,)
+        assert consume_cause((early, late), "exit") == (late,)
+
     def test_genuine_crash_keeps_specs(self):
         assert consume_cause((self.DROP,), "exit") == (self.DROP,)
 
