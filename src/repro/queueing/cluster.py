@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -52,6 +52,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -305,17 +306,48 @@ class ClusterConfig:
             )
 
 
-@dataclass
-class ClusterState:
-    """What a run leaves behind, for inspection after the metrics."""
+#: a counter map as the C event loop leaves it: keys in first-touch
+#: order, and their counts.
+_Counters = Union[Dict[int, int], Tuple[np.ndarray, np.ndarray]]
 
-    #: per spout: tuples emitted, and emitted but not yet acked
-    emitted: List[int]
-    in_flight: List[int]
-    #: per worker: live partial counters (key -> count since last flush)
-    counts: List[Dict[int, int]]
-    #: the aggregator's merged totals over every batch it received
-    totals: Dict[int, int]
+
+class ClusterState:
+    """What a run leaves behind, for inspection after the metrics.
+
+    Counter maps may be given as ``(keys, counts)`` arrays, keys in
+    first-touch order; they become dicts when first read, so a run whose
+    caller reads only the metrics never builds them.
+    """
+
+    def __init__(
+        self,
+        emitted: List[int],
+        in_flight: List[int],
+        counts: Sequence[_Counters],
+        totals: _Counters,
+    ) -> None:
+        #: per spout: tuples emitted, and emitted but not yet acked
+        self.emitted = emitted
+        self.in_flight = in_flight
+        self._counts = counts
+        self._totals = totals
+
+    @cached_property
+    def counts(self) -> List[Dict[int, int]]:
+        """Per worker: live partial counters (key -> count since last flush)."""
+        return [_as_dict(c) for c in self._counts]
+
+    @cached_property
+    def totals(self) -> Dict[int, int]:
+        """The aggregator's merged totals over every batch it received."""
+        return _as_dict(self._totals)
+
+
+def _as_dict(counters: _Counters) -> Dict[int, int]:
+    if isinstance(counters, dict):
+        return counters
+    keys, counts = counters
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def simulate_wordcount(
@@ -464,8 +496,8 @@ def _run_native(
         ClusterState(
             [s.emitted],
             [s.in_flight],
-            [_as_dict(*live) for live in run.live_counters()],
-            _as_dict(*run.totals()),
+            run.live_counters(),
+            run.totals(),
         ),
         run.processed,
         s.received,
@@ -473,10 +505,6 @@ def _run_native(
         s.mem_sum,
         s.mem_peak,
     )
-
-
-def _as_dict(keys: np.ndarray, counts: np.ndarray) -> Dict[int, int]:
-    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _run_closures(

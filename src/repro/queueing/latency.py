@@ -23,6 +23,10 @@ Properties the evaluation layer relies on (and the test suite proves):
   span is what makes :meth:`record_many` one ``np.bincount`` add
   instead of a per-bucket Python loop; serialisation still emits only
   the occupied buckets.)
+* **weighted** -- :meth:`record_runs` absorbs ``(value, count)`` runs at
+  the cost of one sample per run, into exactly the buckets ``count``
+  separate samples would fill (the runtime's workers record one run
+  per flush stamp).
 
 Counts, min, max and the total are exact; only quantiles and the mean's
 bucket placement are approximate (the mean itself is tracked exactly).
@@ -108,6 +112,73 @@ class LatencyStore:
         self._sum += float(arr.sum())
         self._min = min(self._min, float(arr.min()))
         self._max = max(self._max, float(arr.max()))
+
+    def record_run(self, value: float, count: int) -> None:
+        """Absorb ``count`` samples that all equal ``value``.
+
+        The same sketch as ``record_many`` over ``count`` copies of
+        ``value``, at the cost of one sample.  The bucket index comes
+        from ``np.log`` like the array path (``math.log`` can differ in
+        the last ulp, which would move boundary values).
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if count == 0:
+            return
+        if not math.isfinite(value):
+            raise ValueError(f"cannot record non-finite latency {value}")
+        value = float(value)
+        if value > 0.0:
+            index = math.ceil(float(np.log(value)) / self._log_gamma)
+            self._ensure_span(index, index)
+            self._bucket_counts[index - self._bucket_lo] += count
+        else:
+            self._zero_count += count
+        self._count += count
+        self._sum += value * count
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
+
+    def record_runs(
+        self,
+        values: Union[Sequence[float], np.ndarray],
+        counts: Union[Sequence[int], np.ndarray],
+    ) -> None:
+        """Absorb ``counts[i]`` samples equal to ``values[i]``, for each i.
+
+        Buckets, counts, min and max equal ``record_many(np.repeat(
+        values, counts))`` exactly; the sum agrees to float rounding.
+        """
+        vals = np.asarray(values, dtype=np.float64)
+        reps = np.asarray(counts, dtype=np.int64)
+        if vals.shape != reps.shape or vals.ndim != 1:
+            raise ValueError("values and counts must be 1-d and of one length")
+        if reps.size and int(reps.min()) < 0:
+            raise ValueError("counts must be >= 0")
+        if not bool(reps.all()):
+            keep = reps > 0
+            vals, reps = vals[keep], reps[keep]
+        if vals.size == 0:
+            return
+        if not bool(np.isfinite(vals).all()):
+            raise ValueError("cannot record NaN or infinite latencies")
+        positive = vals > 0.0
+        total = int(reps.sum())
+        if bool(positive.any()):
+            indices = np.ceil(np.log(vals[positive]) / self._log_gamma).astype(
+                np.int64
+            )
+            self._ensure_span(int(indices.min()), int(indices.max()))
+            self._bucket_counts += np.bincount(
+                indices - self._bucket_lo,
+                weights=reps[positive],
+                minlength=self._bucket_counts.size,
+            ).astype(np.int64)
+        self._zero_count += total - int(reps[positive].sum())
+        self._count += total
+        self._sum += float(np.dot(vals, reps))
+        self._min = min(self._min, float(vals.min()))
+        self._max = max(self._max, float(vals.max()))
 
     def _ensure_span(self, lo: int, hi: int) -> None:
         """Grow the dense lanes to cover bucket indices ``[lo, hi]``."""

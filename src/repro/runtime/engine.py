@@ -43,7 +43,8 @@ here is its deterministic replay path, least-loaded-of-d over counters.)
 
 **Supervision & recovery.**  The source doubles as supervisor: workers
 heartbeat into the second lane of the progress block on every drain
-step, a full-ring push escalates
+step (an idle worker steps once per doorbell wait), a full-ring push
+escalates
 (:class:`~repro.runtime.backpressure.RingStallError`) on its first
 retry once the worker process has exited, or after a *no-progress*
 deadline while it lives, and the escalation starts an assessment --
@@ -81,7 +82,11 @@ rings, push, respawn -- and differ only in how a worker runs:
 
 * **process** -- real worker processes over
   ``multiprocessing.shared_memory`` rings; requires working process
-  spawning and /dev/shm (:func:`runtime_available` probes once).
+  spawning and /dev/shm (:func:`runtime_available` probes once).  Each
+  worker slot has a doorbell, a ``multiprocessing.Semaphore(0)`` its
+  ring posts on every publishing push and at end-of-stream; an idle
+  worker blocks on it instead of polling (:mod:`repro.runtime.ring`),
+  and a respawned worker waits on its slot's.
 * **simulated** -- the same rings and worker loops in-process; "wait
   for the consumer" becomes "run the consumer" via the backpressure
   ``drain`` hook, so the block policy cannot deadlock in one thread.
@@ -483,10 +488,15 @@ class _Backend(ABC):
             )
             for record in self.records:
                 init_record(record)
-            for _ in range(num_workers):
+            for w in range(num_workers):
                 backing = self._allocate(ring_nbytes(config.capacity))
                 self.rings.append(
-                    SpscRing.from_buffer(backing, config.capacity, initialize=True)
+                    SpscRing.from_buffer(
+                        backing,
+                        config.capacity,
+                        initialize=True,
+                        doorbell=self._doorbell(w),
+                    )
                 )
             for w in range(num_workers):
                 self._start(w, worker_faults[w])
@@ -497,6 +507,10 @@ class _Backend(ABC):
     def _allocate(self, nbytes: int) -> Any:
         """``nbytes`` of zeroed backing (private memory here)."""
         return memoryview(np.zeros(nbytes, dtype=np.uint8))
+
+    def _doorbell(self, worker: int) -> Any:
+        """The semaphore ``worker``'s ring posts on (None = none)."""
+        return None
 
     @abstractmethod
     def _start(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
@@ -628,7 +642,8 @@ class _ProcessBackend(_Backend):
     """Real worker processes over shared-memory rings.
 
     Shared-memory block 0 backs the progress block, block ``1 + w``
-    worker ``w``'s ring; a respawned worker attaches to the same blocks.
+    worker ``w``'s ring; a respawned worker attaches to the same blocks
+    and waits on the same doorbell, ``doorbells[w]``.
     """
 
     mode = "process"
@@ -646,6 +661,8 @@ class _ProcessBackend(_Backend):
         #: reports that arrived while the source waited on another worker.
         self._reports: Dict[int, Dict[str, Any]] = {}
         self.results: Any = multiprocessing.Queue()
+        #: one counting semaphore per worker slot: its ring's doorbell.
+        self.doorbells = [multiprocessing.Semaphore(0) for _ in range(num_workers)]
         super().__init__(num_workers, config, worker_faults)
 
     def _allocate(self, nbytes: int) -> Any:
@@ -654,6 +671,9 @@ class _ProcessBackend(_Backend):
         shm = shared_memory.SharedMemory(create=True, size=nbytes)
         self._shms.append(shm)
         return shm.buf
+
+    def _doorbell(self, worker: int) -> Any:
+        return self.doorbells[worker]
 
     def _start(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
         spec = WorkerSpec(
@@ -665,7 +685,9 @@ class _ProcessBackend(_Backend):
             faults=tuple(faults),
         )
         proc = multiprocessing.Process(
-            target=worker_main, args=(spec, self.results), daemon=True
+            target=worker_main,
+            args=(spec, self.results, self.doorbells[worker]),
+            daemon=True,
         )
         proc.start()
         self._spawned.append(proc)

@@ -32,11 +32,21 @@ The same class runs over two backings:
 * :meth:`SpscRing.from_buffer` -- views over a
   ``multiprocessing.shared_memory`` block, used by the real
   multi-process engine.  :func:`ring_nbytes` sizes the block.
+
+**Doorbell.**  A ring may carry a *doorbell*: a counting semaphore
+(``multiprocessing.Semaphore(0)`` in the process engine) that the
+producer posts on every :meth:`~SpscRing.try_push` that publishes and on
+:meth:`~SpscRing.mark_done`.  An idle consumer blocks in
+:meth:`~SpscRing.wait` instead of polling.  The semaphore counts posts,
+so a post made before the consumer waits is never lost -- at worst a
+stale post wakes it to find the ring empty, and it waits again.  A ring
+without a doorbell (the simulated backend's) waits by a short sleep.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import time
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +61,8 @@ _DONE = 16
 
 #: bytes per slot: int64 message index + float64 enqueue timestamp.
 _SLOT_BYTES = 16
+#: longest sleep of a doorbell-less :meth:`SpscRing.wait`.
+_POLL_SLEEP = 20e-6
 
 
 def ring_nbytes(capacity: int) -> int:
@@ -64,13 +76,14 @@ class SpscRing:
     """A bounded single-producer/single-consumer message ring.
 
     The producer side uses :meth:`try_push` and :meth:`mark_done`; the
-    consumer side :meth:`try_pop` and :meth:`exhausted`.  Neither side
-    ever blocks here -- waiting strategies live in
-    :mod:`repro.runtime.backpressure` so they can be tested and
-    configured independently of the buffer mechanics.
+    consumer side :meth:`try_pop`, :meth:`exhausted` and :meth:`wait`.
+    Only an idle consumer's :meth:`wait` blocks here -- the producer's
+    full-ring strategies live in :mod:`repro.runtime.backpressure` so
+    they can be tested and configured independently of the buffer
+    mechanics.
     """
 
-    __slots__ = ("capacity", "_header", "_indices", "_stamps")
+    __slots__ = ("capacity", "doorbell", "_header", "_indices", "_stamps")
 
     def __init__(
         self,
@@ -78,6 +91,7 @@ class SpscRing:
         header: np.ndarray,
         indices: np.ndarray,
         stamps: np.ndarray,
+        doorbell: Optional[Any] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -86,6 +100,8 @@ class SpscRing:
         if indices.shape != (capacity,) or stamps.shape != (capacity,):
             raise ValueError("data lanes must have one entry per slot")
         self.capacity = int(capacity)
+        #: counting semaphore the producer posts (None = consumer polls).
+        self.doorbell = doorbell
         self._header = header
         self._indices = indices
         self._stamps = stamps
@@ -104,12 +120,17 @@ class SpscRing:
 
     @classmethod
     def from_buffer(
-        cls, buf: memoryview, capacity: int, initialize: bool = False
+        cls,
+        buf: memoryview,
+        capacity: int,
+        initialize: bool = False,
+        doorbell: Optional[Any] = None,
     ) -> "SpscRing":
         """A ring viewing an existing (shared-memory) buffer.
 
         The creator passes ``initialize=True`` to zero the header before
-        any worker attaches; attachers must leave it untouched.
+        any worker attaches; attachers must leave it untouched.  Both
+        sides pass the same ``doorbell`` (see the module docstring).
         """
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -132,7 +153,7 @@ class SpscRing:
         )
         if initialize:
             header[:] = 0
-        return cls(capacity, header, indices, stamps)
+        return cls(capacity, header, indices, stamps, doorbell)
 
     # -- occupancy ----------------------------------------------------------
 
@@ -178,11 +199,15 @@ class SpscRing:
             self._indices[: n - first] = indices[first:n]
             self._stamps[: n - first] = stamps[first:n]
         self._header[_TAIL] = tail + n  # publish: single aligned store
+        if self.doorbell is not None:
+            self.doorbell.release()
         return n
 
     def mark_done(self) -> None:
         """Producer's end-of-stream signal (set after the last push)."""
         self._header[_DONE] = 1
+        if self.doorbell is not None:
+            self.doorbell.release()
 
     def reset(self) -> None:
         """Rewind the ring to empty-and-open (restart recovery only).
@@ -223,6 +248,18 @@ class SpscRing:
             stamps[first:] = self._stamps[: n - first]
         self._header[_HEAD] = head + n  # release: single aligned store
         return indices, stamps
+
+    def wait(self, timeout: float) -> None:
+        """Block the consumer until the next doorbell post or ``timeout``.
+
+        Returns early on a post, which may predate the call (the posts
+        are counted) or be stale; callers re-check the ring either way.
+        Without a doorbell it sleeps briefly instead.
+        """
+        if self.doorbell is not None:
+            self.doorbell.acquire(timeout=timeout)
+        else:
+            time.sleep(min(timeout, _POLL_SLEEP))
 
     @property
     def done(self) -> bool:

@@ -22,12 +22,32 @@ checkpoint -- which is how a restarted worker counts on from where its
 predecessor last checkpointed.  A worker that drains its ring dry also
 publishes, so a caught-up worker's record is current.
 
+**Batch-priced service loop.**  A worker costs what its batches cost,
+not what its messages cost.  The source stamps a whole flush with one
+clock reading, so a popped batch's stamp lane is a few runs of equal
+stamps (usually one): :meth:`WorkerLoop.step` records one ``(sojourn,
+count)`` per run (:meth:`~repro.queueing.latency.LatencyStore.
+record_runs`), which builds the very sketch one sample per message
+would.  Runs are found by comparing neighbouring stamps, so any stamp
+lane -- per-message, or not monotone -- is accounted exactly.
+
+**Doorbell wake-ups.**  In the process engine an idle worker does not
+poll: it blocks on its ring's doorbell, a counting semaphore the source
+posts on every publishing push and at end-of-stream
+(:meth:`~repro.runtime.ring.SpscRing.wait`), for at most
+:data:`_IDLE_WAIT` seconds.  Posts are counted, so a wake-up can never
+be lost; the timeout only bounds how long an idle worker goes without
+beating and re-checking its drain deadline.  A respawned worker waits
+on its slot's doorbell.  The simulated backend's loops run inline and
+have none.
+
 **Heartbeats.**  The shared progress block carries the records and a
 *beat* lane per worker, which the worker bumps on every drain step --
-including idle ones -- so the source can tell "alive but idle" from
-"gone".  A worker that is dead, or stalled by an injected fault, stops
-beating; that silence is exactly what the supervisor's liveness
-deadline measures (:mod:`repro.runtime.supervision`).
+an idle worker's step comes once per doorbell wait -- so the source can
+tell "alive but idle" from "gone".  A worker that is dead, or stalled
+by an injected fault, stops beating; that silence is exactly what the
+supervisor's liveness deadline measures
+(:mod:`repro.runtime.supervision`).
 
 **Fault injection.**  A :class:`~repro.runtime.faults.FaultState`
 built from the worker's slice of the :class:`~repro.runtime.faults.
@@ -81,8 +101,9 @@ __all__ = [
     "write_record",
 ]
 
-#: seconds an idle real-process worker sleeps before re-polling its ring.
-_IDLE_SLEEP = 20e-6
+#: longest doorbell wait of an idle worker: it beats (and re-checks
+#: its drain deadline) at least this often while the ring stays empty.
+_IDLE_WAIT = 5e-3
 #: largest single sleep a stalled process-mode worker takes (keeps the
 #: stall interruptible by terminate/kill escalation).
 _STALL_SLEEP = 5e-3
@@ -410,12 +431,22 @@ class WorkerLoop:
         # reports (REPRO002 noqa: measurement is the purpose; the
         # values never feed a routing decision or a load count).
         now_done = time.perf_counter()  # repro: noqa[REPRO002]
-        self.latency.record_many(now_done - stamps)
+        self._record_sojourns(now_done, stamps)
         self.count += n
         self._since_checkpoint += n
         if self._since_checkpoint >= self.checkpoint_interval:
             self.publish_checkpoint()
         return consumed
+
+    def _record_sojourns(self, now: float, stamps: np.ndarray) -> None:
+        """One sketch entry per run of equal stamps in ``stamps``."""
+        first = float(stamps[0])
+        if not bool((stamps != first).any()):  # one flush: one run
+            self.latency.record_run(now - first, int(stamps.size))
+            return
+        starts = np.flatnonzero(stamps[1:] != stamps[:-1]) + 1
+        bounds = np.concatenate(([0], starts, [stamps.size]))
+        self.latency.record_runs(now - stamps[bounds[:-1]], np.diff(bounds))
 
     def publish_checkpoint(self) -> None:
         """Publish the private progress as this worker's checkpoint.
@@ -466,7 +497,7 @@ class WorkerLoop:
                         f"worker {self.worker_id} saw no ring progress "
                         f"for {deadline:g}s (producer dead?)"
                     )
-            time.sleep(_IDLE_SLEEP)
+            self.ring.wait(_IDLE_WAIT)
 
     def kill(self) -> None:
         """Supervisor-side condemnation (simulated mode): stop consuming."""
@@ -490,11 +521,14 @@ class WorkerLoop:
         return report
 
 
-def worker_main(spec: WorkerSpec, result_queue: Any) -> None:
+def worker_main(spec: WorkerSpec, result_queue: Any, doorbell: Any = None) -> None:
     """Process entrypoint: attach shared state, drain, report, exit.
 
-    Module-level by necessity, not style: under the ``spawn`` start
-    method the target is pickled by qualified name (REPRO004).
+    ``doorbell`` is the ring's semaphore (see :mod:`repro.runtime.ring`);
+    it travels as a process argument, the one way a semaphore crosses
+    every start method.  Module-level by necessity, not style: under the
+    ``spawn`` start method the target is pickled by qualified name
+    (REPRO004).
     """
     from multiprocessing import shared_memory
 
@@ -502,7 +536,9 @@ def worker_main(spec: WorkerSpec, result_queue: Any) -> None:
     progress_shm = shared_memory.SharedMemory(name=spec.progress_name)
     ring = lanes = loop = None
     try:
-        ring = SpscRing.from_buffer(ring_shm.buf, spec.config.capacity)
+        ring = SpscRing.from_buffer(
+            ring_shm.buf, spec.config.capacity, doorbell=doorbell
+        )
         lanes = progress_lanes(progress_shm.buf, spec.num_workers)
         loop = WorkerLoop(
             spec.worker_id,

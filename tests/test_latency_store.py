@@ -204,6 +204,136 @@ class TestBulkEquivalence:
         assert left.to_dict() == right.to_dict() == filled.to_dict()
 
 
+def _state(store):
+    """``to_dict`` without the float sum (compared to rounding apart)."""
+    state = store.to_dict()
+    return state, state.pop("sum")
+
+
+runs_strategy = st.lists(
+    st.tuples(
+        st.floats(
+            min_value=-1.0, max_value=1e3, allow_nan=False, allow_infinity=False
+        ),
+        st.integers(min_value=0, max_value=50),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestWeightedRuns:
+    """``record_runs(values, counts)`` == ``record_many(np.repeat(...))``.
+
+    The runtime's workers record one sojourn per run of equal stamps;
+    the sketch they build must be the one a sample per message builds:
+    buckets, counts, zero count, min and max exactly, the sum to float
+    rounding.
+    """
+
+    @given(runs_strategy)
+    @settings(max_examples=200)
+    def test_runs_equal_repeated_samples(self, runs):
+        values = np.array([v for v, _ in runs], dtype=np.float64)
+        counts = np.array([c for _, c in runs], dtype=np.int64)
+        weighted = LatencyStore()
+        weighted.record_runs(values, counts)
+        repeated = LatencyStore()
+        repeated.record_many(np.repeat(values, counts))
+        (w_state, w_sum), (r_state, r_sum) = _state(weighted), _state(repeated)
+        assert w_state == r_state
+        assert math.isclose(w_sum, r_sum, rel_tol=1e-9, abs_tol=1e-9)
+        if repeated.count:
+            for q in (0.0, 0.5, 0.99, 1.0):
+                assert weighted.quantile(q) == repeated.quantile(q)
+
+    @given(
+        st.floats(min_value=-1.0, max_value=1e3, allow_nan=False),
+        st.integers(min_value=0, max_value=5_000),
+    )
+    @settings(max_examples=200)
+    def test_single_run_scalar_path(self, value, count):
+        scalar = LatencyStore()
+        scalar.record_run(value, count)
+        vector = LatencyStore()
+        vector.record_runs([value], [count])
+        repeated = LatencyStore()
+        repeated.record_many(np.full(count, value))
+        states = [_state(s) for s in (scalar, vector, repeated)]
+        assert states[0][0] == states[1][0] == states[2][0]
+        for _state_, total in states:
+            assert math.isclose(total, states[2][1], rel_tol=1e-9, abs_tol=1e-9)
+
+    def test_bucket_boundaries_place_like_record_many(self):
+        # gamma^i and its float neighbours sit on bucket edges, where a
+        # different log would move a value one bucket over.
+        store = LatencyStore()
+        edges = store._gamma ** np.arange(-400, 40, dtype=np.float64)
+        values = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+        )
+        scalar = LatencyStore()
+        for v in values.tolist():
+            scalar.record_run(v, 3)
+        vector = LatencyStore()
+        vector.record_runs(values, np.full(values.size, 3))
+        repeated = LatencyStore()
+        repeated.record_many(np.repeat(values, 3))
+        assert _state(scalar)[0] == _state(vector)[0] == _state(repeated)[0]
+
+    def test_many_runs_with_nonpositive_values(self):
+        store = LatencyStore()
+        store.record_runs([-2.0, 0.0, 1e-6, 3.0, 1e-6], [1, 4, 2, 5, 3])
+        assert store.count == 15
+        assert store.to_dict()["zero_count"] == 5
+        assert store.min == -2.0 and store.max == 3.0
+        assert store.quantile(0.0) == 0.0
+        assert store.quantile(1.0) == pytest.approx(3.0, rel=0.011)
+        assert store.mean() == pytest.approx((-2.0 + 2e-6 + 15.0 + 3e-6) / 15)
+
+    def test_zero_counts_and_empty_runs_are_noops(self):
+        store = LatencyStore()
+        store.record_runs([], [])
+        store.record_run(5.0, 0)
+        # a zero-count value is absent from np.repeat: no min/max either.
+        store.record_runs([1e6, 2.0], [0, 1])
+        assert store.count == 1
+        assert store.min == store.max == 2.0
+
+    def test_rejects_nan_inf_and_bad_counts(self):
+        store = LatencyStore()
+        store.record_run(1.0, 2)
+        before = store.to_dict()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                store.record_run(bad, 1)
+            with pytest.raises(ValueError):
+                store.record_runs([1.0, bad], [1, 1])
+        with pytest.raises(ValueError):
+            store.record_run(1.0, -1)
+        with pytest.raises(ValueError):
+            store.record_runs([1.0], [-1])
+        with pytest.raises(ValueError):
+            store.record_runs([1.0, 2.0], [1])
+        assert store.to_dict() == before  # rejected calls change nothing
+
+    @given(runs_strategy, samples_strategy)
+    @settings(max_examples=100)
+    def test_merge_after_runs_equals_concat(self, runs, samples):
+        values = np.array([v for v, _ in runs], dtype=np.float64)
+        counts = np.array([c for _, c in runs], dtype=np.int64)
+        a = LatencyStore()
+        a.record_runs(values, counts)
+        b = LatencyStore()
+        b.record_many(np.asarray(samples))
+        concat = LatencyStore()
+        concat.record_many(np.concatenate([np.repeat(values, counts), samples]))
+        for merged in (a.merge(b), b.merge(a)):
+            assert _state(merged)[0] == _state(concat)[0]
+            for q in (0.0, 0.5, 0.9, 1.0):
+                assert merged.quantile(q) == concat.quantile(q)
+
+
 class TestEdgeCases:
     def test_empty_store_quantile_raises(self):
         store = LatencyStore()

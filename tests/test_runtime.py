@@ -11,6 +11,8 @@ checkpoint publication, clean shutdown, and the ``python -m
 repro.runtime`` CLI.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,29 @@ class TestWorkerLoop:
         assert progress.tolist() == [0, 25, 0]  # only its own slot
         assert loop.checkpoints_published >= 2
         assert loop.report()["count"] == 25
+
+    @pytest.mark.parametrize(
+        "ages",
+        [
+            [1000.0] * 6,  # one flush: one run
+            [1000.0, 1000.0, 10.0, 10.0, 10.0, 50.0],  # three flushes
+            [1000.0, 10.0, 1000.0, 10.0, 50.0, 1000.0],  # not monotone
+        ],
+    )
+    def test_sojourns_follow_every_stamp_run(self, ages):
+        """One sketch entry per run of equal stamps, any stamp lane."""
+        ring = SpscRing.create_local(16)
+        loop = WorkerLoop(0, ring, np.zeros(1, dtype=np.int64))
+        now = time.perf_counter()
+        ring.try_push(np.arange(6, dtype=np.int64), now - np.asarray(ages))
+        assert loop.step() == 6
+        expected = LatencyStore()
+        expected.record_many(np.asarray(ages))
+        assert loop.latency.count == 6
+        for q in (0.0, 0.2, 0.5, 0.7, 1.0):
+            assert loop.latency.quantile(q) == pytest.approx(
+                expected.quantile(q), rel=0.03
+            )
 
     def test_validation(self):
         ring = SpscRing.create_local(4)

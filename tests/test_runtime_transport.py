@@ -125,6 +125,54 @@ class TestFlushInvariance:
         np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
         _per_worker_order(result, replay, workers)
 
+    @pytest.mark.parametrize("mode", ["simulated", "process"])
+    @pytest.mark.parametrize("max_batch", [5, 4096])
+    @pytest.mark.parametrize(
+        "flush_size, capacity",
+        [
+            (1, 1),
+            (1, 64),
+            (7, 4),
+            (7, 7),
+            (7, 64),
+            (8192, 1024),
+            (8192, 8192),
+            (8192, 16384),
+        ],
+    )
+    def test_one_sojourn_per_processed_message(
+        self, mode, max_batch, flush_size, capacity
+    ):
+        """Per-run sojourn records still count every message once.
+
+        Flush size against ring capacity decides how a flush's one stamp
+        splits over popped batches (a batch may straddle two flushes, or
+        hold one flush's tail); the sketch must count each message once
+        whatever the split, with FIFO order and conservation intact.
+        """
+        if mode == "process" and not runtime_available():
+            pytest.skip("process spawning or /dev/shm unavailable")
+        workers = 3
+        keys = STREAM[:4_000]
+        result = run_runtime(
+            keys,
+            make_partitioner("pkg", workers, seed=3),
+            RuntimeConfig(
+                mode=mode,
+                flush_size=flush_size,
+                capacity=capacity,
+                max_batch=max_batch,
+                capture_indices=True,
+            ),
+        )
+        replay = replay_stream(
+            keys, make_partitioner("pkg", workers, seed=3), keep_assignments=True
+        )
+        assert result.latency.count == result.processed == keys.size
+        assert result.conservation_ok
+        np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
+        _per_worker_order(result, replay, workers)
+
     def test_flush_smaller_than_capacity_still_sheds_on_drop(self):
         # "drop" relies on full rings: a flush larger than capacity is
         # clamped by the push path, so shedding still happens and the
