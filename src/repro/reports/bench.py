@@ -10,9 +10,10 @@ Two suites, both written at the repo root so every PR's numbers are one
 * ``BENCH_experiments.json`` -- wall-clock duration of each experiment
   harness, recorded by ``python -m repro.reports run``.
 
-The pytest-benchmark suite (``benchmarks/``) feeds the same writer via
-its ``pytest_sessionfinish`` hook, so either entry point keeps the
-trajectory accumulating.
+Each file has exactly one writer; the pytest-benchmark suite
+(``benchmarks/``) times the same harnesses but writes nothing back.
+End-to-end runtime throughput and latency are measured by
+``perfbench/run.py``, not recorded here.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.reports.schema import (
 __all__ = [
     "bench_partitioners",
     "write_bench_snapshot",
-    "merge_bench_results",
     "load_bench_snapshot",
     "repo_root",
 ]
@@ -57,13 +57,10 @@ def write_bench_snapshot(
     results: Sequence[Dict],
     directory=None,
     created_utc: Optional[str] = None,
-    source: str = "repro.reports",
 ) -> Path:
     """Write ``BENCH_<suite>.json`` with provenance and result entries.
 
     ``results`` is a list of dicts; each must at least carry ``name``.
-    ``source`` records which harness produced the numbers (the report
-    CLI or the pytest-benchmark suite) since both feed the same file.
     """
     import repro
 
@@ -78,7 +75,7 @@ def write_bench_snapshot(
         "schema_version": SCHEMA_VERSION,
         "kind": BENCH_KIND,
         "suite": suite,
-        "source": source,
+        "source": "repro.reports",
         "manifest": {
             "git_sha": git_sha(),
             "created_utc": created_utc,
@@ -98,31 +95,6 @@ def write_bench_snapshot(
         ) from exc
     path.write_text(text + "\n")
     return path
-
-
-def merge_bench_results(
-    suite: str, results: Sequence[Dict], directory=None
-) -> List[Dict]:
-    """Merge new entries into an existing snapshot's, matching by name.
-
-    New entries win; entries only present in the existing
-    ``BENCH_<suite>.json`` are preserved, so a *partial* benchmark run
-    (one module, a ``-k`` subset) updates its own numbers without
-    erasing the rest of the trajectory.  Missing or unreadable existing
-    snapshots merge as empty.
-    """
-    merged = {}
-    path = bench_path(suite, directory)
-    if path.exists():
-        try:
-            for entry in load_bench_snapshot(path).get("results", []):
-                if isinstance(entry, dict) and entry.get("name"):
-                    merged[entry["name"]] = entry
-        except SchemaError:
-            pass
-    for entry in results:
-        merged[entry["name"]] = entry
-    return list(merged.values())
 
 
 def load_bench_snapshot(path) -> Dict:

@@ -173,19 +173,11 @@ def bench_snapshot_artifact(data: Mapping) -> ExperimentArtifact:
     Every result entry's ``keys_per_second`` becomes one
     higher-is-better metric named ``<scheme>.keys_per_second``, so the
     standard diff gate (tolerance, direction, exit code) applies to
-    throughput trajectories unchanged.  The sharded runtime's
-    ``<scheme>@e2e`` entries map the same way:
-    ``e2e_messages_per_second`` is higher-is-better;
-    ``p99_sojourn_seconds``, the per-stage transport breakdown
-    (``route_seconds`` / ``scatter_seconds`` / ``flush_stall_seconds``
-    / ``drain_seconds`` / ``recovery_seconds``), the
-    ``transport_overhead_ratio`` and the robustness counters (``lost``,
-    ``restarts``, ``stall_timeouts``) are lower-is-better.
-    Suite-level entries
-    carrying ``sweep_wall_clock_seconds`` (the experiments-sweep wall
-    clock written by ``repro.reports run``) become lower-is-better
-    metrics, so the parallel executor's end-to-end time is gated the
-    same way.
+    throughput trajectories unchanged.  Suite-level entries carrying
+    ``sweep_wall_clock_seconds`` (the experiments-sweep wall clock
+    written by ``repro.reports run``) become lower-is-better metrics,
+    so the parallel executor's end-to-end time is gated the same way.
+    Any other entry field is a record, not a metric.
     """
     manifest = data.get("manifest", {}) or {}
     metrics = []
@@ -200,47 +192,6 @@ def bench_snapshot_artifact(data: Mapping) -> ExperimentArtifact:
                     direction="higher",
                 )
             )
-        if "e2e_messages_per_second" in entry:
-            metrics.append(
-                Metric(
-                    name=f"{entry['name']}.e2e_messages_per_second",
-                    value=float(entry["e2e_messages_per_second"]),
-                    direction="higher",
-                )
-            )
-        if "p99_sojourn_seconds" in entry:
-            metrics.append(
-                Metric(
-                    name=f"{entry['name']}.p99_sojourn_seconds",
-                    value=float(entry["p99_sojourn_seconds"]),
-                    direction="lower",
-                )
-            )
-        # The e2e transport breakdown: every stage second and the
-        # overhead ratio shrink as the transport path gets cheaper, so
-        # all are lower-is-better and gated like the throughputs.
-        for stage_field in (
-            "route_seconds",
-            "scatter_seconds",
-            "flush_stall_seconds",
-            "drain_seconds",
-            "recovery_seconds",
-            "transport_overhead_ratio",
-            # Robustness telemetry: messages lost, worker respawns and
-            # pushes that tripped their deadline all shrink as the
-            # runtime gets more resilient.
-            "lost",
-            "restarts",
-            "stall_timeouts",
-        ):
-            if stage_field in entry:
-                metrics.append(
-                    Metric(
-                        name=f"{entry['name']}.{stage_field}",
-                        value=float(entry[stage_field]),
-                        direction="lower",
-                    )
-                )
         if "sweep_wall_clock_seconds" in entry:
             # The job count is part of the metric name: wall clocks are
             # only like-for-like at the same fan-out width, so runs at

@@ -14,9 +14,8 @@ Public surface of :mod:`repro.runtime`:
   ``reroute`` / ``restart`` recovery policies with exact
   ``sent == processed + dropped + lost`` conservation accounting;
 * :class:`SpscRing` -- the bounded single-producer/single-consumer ring;
-* :func:`push_with_backpressure` -- block/spin/drop policies with
-  exact drop accounting;
-* :func:`bench_throughput_e2e` -- the ``<scheme>@e2e`` bench harness;
+* :func:`push_with_backpressure` -- block/drop policies with exact
+  drop accounting;
 * :func:`runtime_available` -- whether real worker processes can spawn.
 
 ``python -m repro.runtime`` is the CLI; see ARCHITECTURE.md's
@@ -30,7 +29,6 @@ from repro.runtime.backpressure import (
     RingStallError,
     push_with_backpressure,
 )
-from repro.runtime.bench import DEFAULT_E2E_SCHEMES, bench_throughput_e2e, e2e_entry
 from repro.runtime.engine import (
     MODES,
     RuntimeConfig,
@@ -56,7 +54,6 @@ from repro.runtime.supervision import (
 from repro.runtime.worker import WorkerLoop, WorkerSpec, worker_main
 
 __all__ = [
-    "DEFAULT_E2E_SCHEMES",
     "FAULT_KINDS",
     "FailureEvent",
     "FaultPlan",
@@ -74,8 +71,6 @@ __all__ = [
     "WorkerDeadError",
     "WorkerLoop",
     "WorkerSpec",
-    "bench_throughput_e2e",
-    "e2e_entry",
     "parse_fault",
     "push_with_backpressure",
     "reap_process",

@@ -10,8 +10,10 @@ the stage seconds sum to the wall time within 1 ms (closed stage
 accounting); the exit code is non-zero on any mismatch.
 ``--streaming`` generates the keys chunk-wise through the dataset's
 ``ChunkSource`` instead of materialising them (the verify replay then
-re-iterates the same source -- byte-identical by construction).  ``--bench`` merges the measured
-``<scheme>@e2e`` entries into ``BENCH_partitioners.json``.
+re-iterates the same source -- byte-identical by construction).  An
+invalid configuration is a usage error (exit 2), like a bad option.
+End-to-end benchmark numbers come from ``perfbench/run.py``, which
+runs the same ``run_runtime`` as medians over repeats.
 
 Fault injection and recovery: ``--fault kill:w=1@n=5000`` (repeatable)
 injects seeded faults, ``--recovery {fail,reroute,restart}`` picks the
@@ -19,7 +21,8 @@ policy, and ``--chaos`` draws a random seeded fault plan when no
 explicit ``--fault`` is given.  Under faults, ``--verify`` checks the
 conservation law ``sent == processed + dropped + lost`` for every run
 and additionally demands byte-identical counts (and a fully recovered
-``status=ok``) under ``--recovery restart`` with a lossless policy.
+``status=ok``) under ``--recovery restart`` with the lossless ``block``
+policy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.runtime.bench import DEFAULT_E2E_SCHEMES, e2e_entry
 from repro.runtime.engine import (
     MODES,
     RuntimeConfig,
@@ -56,7 +58,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--schemes",
         nargs="+",
-        default=list(DEFAULT_E2E_SCHEMES),
+        default=["pkg", "kg", "sg", "jbsq"],
         help="partitioner spec strings to run (default: %(default)s)",
     )
     parser.add_argument("--workers", type=int, default=4)
@@ -155,67 +157,63 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="assert per-worker counts equal the single-process replay",
     )
-    parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="merge <scheme>@e2e entries into BENCH_partitioners.json",
-    )
     args = parser.parse_args(argv)
 
-    if args.fault:
-        try:
-            plan: Optional[FaultPlan] = FaultPlan.parse(
-                args.fault, seed=args.seed
+    # Every argument check below raises ValueError (KeyError for an
+    # unknown dataset, whose str() would add quotes); all of them are
+    # usage errors, not crashes.
+    try:
+        plan: Optional[FaultPlan] = None
+        if args.fault:
+            plan = FaultPlan.parse(args.fault, seed=args.seed)
+        elif args.chaos:
+            plan = FaultPlan.random(
+                seed=args.seed,
+                num_workers=args.workers,
+                num_messages=args.messages,
             )
-        except ValueError as exc:
-            parser.error(str(exc))
+        config = RuntimeConfig(
+            capacity=args.capacity,
+            policy=args.policy,
+            service_cost=args.service_cost,
+            mode=args.mode,
+            flush_size=args.flush_size,
+            recovery=args.recovery,
+            faults=plan,
+            push_deadline=args.push_deadline,
+            liveness_deadline=args.liveness_deadline,
+            restart_limit=args.restart_limit,
+        )
+        partitioners = [
+            (scheme, make_partitioner(scheme, args.workers, seed=args.seed))
+            for scheme in args.schemes
+        ]
+        spec = get_dataset(args.dataset)
+        keys = (
+            spec.chunk_source(args.messages, seed=args.seed)
+            if args.streaming
+            else spec.stream(args.messages, seed=args.seed)
+        )
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc.args[0]))
+    if plan is not None:
         for fault in plan.specs:
             if fault.worker >= args.workers:
                 parser.error(
                     f"fault {fault.describe()!r} targets worker "
                     f"{fault.worker} but --workers is {args.workers}"
                 )
-    elif args.chaos:
-        plan = FaultPlan.random(
-            seed=args.seed,
-            num_workers=args.workers,
-            num_messages=args.messages,
-        )
-    else:
-        plan = None
-    if plan is not None:
         print(f"faults: {plan.describe()}  recovery={args.recovery}")
 
-    config = RuntimeConfig(
-        capacity=args.capacity,
-        policy=args.policy,
-        service_cost=args.service_cost,
-        mode=args.mode,
-        flush_size=args.flush_size,
-        recovery=args.recovery,
-        faults=plan,
-        push_deadline=args.push_deadline,
-        liveness_deadline=args.liveness_deadline,
-        restart_limit=args.restart_limit,
-    )
     if args.mode == "auto" and not runtime_available():
         print(
             "note: process spawning or shared memory unavailable; "
             "running in-process simulated rings"
         )
 
-    spec = get_dataset(args.dataset)
-    keys = (
-        spec.chunk_source(args.messages, seed=args.seed)
-        if args.streaming
-        else spec.stream(args.messages, seed=args.seed)
-    )
     failures = 0
-    results = []
-    for scheme in args.schemes:
-        partitioner = make_partitioner(scheme, args.workers, seed=args.seed)
+    for scheme, partitioner in partitioners:
         result = run_runtime(keys, partitioner, config)
-        results.append((scheme, result))
         line = (
             f"{scheme:>16}  mode={result.mode:<9} "
             f"throughput={result.messages_per_second:>12,.0f} msg/s  "
@@ -243,11 +241,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"flush_stall={stages['flush_stall'] * 1e3:.1f}ms "
             f"drain={stages['drain'] * 1e3:.1f}ms "
             f"recovery={stages['recovery'] * 1e3:.1f}ms  "
-            f"flushes={result.flushes}  "
-            f"overhead={result.transport_overhead_ratio:.2f}x"
+            f"flushes={result.flushes}"
         )
         if args.verify:
-            lossless = result.policy in ("block", "spin")
+            lossless = result.policy != "drop"
             staged = sum(stages.values())
             if abs(result.wall_seconds - staged) > _STAGE_TOLERANCE:
                 failures += 1
@@ -294,17 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         f"(replay {replay.final_loads.tolist()}, "
                         f"status={result.status})"
                     )
-
-    if args.bench:
-        from repro.reports.bench import merge_bench_results, write_bench_snapshot
-
-        entries = [
-            e2e_entry(scheme, result, streaming=args.streaming)
-            for scheme, result in results
-        ]
-        merged = merge_bench_results("partitioners", entries)
-        path = write_bench_snapshot("partitioners", merged)
-        print(f"bench: wrote {len(entries)} @e2e entries to {path}")
 
     return 1 if failures else 0
 

@@ -2,17 +2,16 @@
 
 A bounded ring plus a slow consumer forces a choice, and the right one
 depends on the deployment: a batch replay wants **block** (lossless,
-throughput throttled to the slowest worker), a latency-critical path
-with an upstream retry wants **drop** (lossy, load shed at the source,
-every drop accounted), and a low-latency pinned-core deployment wants
-**spin** (lossless, burns CPU instead of sleeping through the scheduler).
+throughput throttled to the slowest worker), and a latency-critical
+path with an upstream retry wants **drop** (lossy, load shed at the
+source, every drop accounted).
 
 :func:`push_with_backpressure` drives one per-worker push to
 completion under the chosen policy and returns exact drop accounting.
 The ``drain`` hook is how the simulated-rings mode stays lossless in a
 single process: with producer and consumer sharing a thread, "wait for
 the consumer" must mean "run the consumer", so the engine passes each
-worker's drain step as the callback and the policies call it instead of
+worker's drain step as the callback and ``block`` calls it instead of
 sleeping.
 
 **No wait here is unbounded.**  A crashed or wedged consumer must never
@@ -46,12 +45,10 @@ __all__ = [
 from repro.runtime.ring import SpscRing
 
 #: recognised backpressure policies.
-POLICIES: Tuple[str, ...] = ("block", "spin", "drop")
+POLICIES: Tuple[str, ...] = ("block", "drop")
 
 #: seconds the block policy sleeps between full-ring retries.
 _BLOCK_SLEEP = 50e-6
-#: busy iterations the spin policy burns before degrading to a sleep.
-_SPIN_ITERATIONS = 2_000
 #: full-ring retries before declaring the consumer dead when no
 #: deadline is configured.  With the block policy's sleep this bounds
 #: the wait to ~60 s of wall time without ever reading a clock.
@@ -98,7 +95,7 @@ def push_with_backpressure(
 ) -> PushOutcome:
     """Push every message (or account for every drop) under ``policy``.
 
-    ``block`` and ``spin`` guarantee ``dropped == 0``: the call returns
+    ``block`` guarantees ``dropped == 0``: the call returns
     only once the ring accepted all messages, or raises
     :class:`RingStallError` as soon as ``alive`` reports the consumer
     gone, or once the ring has made no progress for ``deadline``
@@ -170,12 +167,5 @@ def push_with_backpressure(
                 pushed=offset,
                 stalls=stalls,
             )
-        if policy == "spin":
-            for _ in range(_SPIN_ITERATIONS):
-                if ring.free:
-                    break
-            else:
-                time.sleep(_BLOCK_SLEEP)
-        else:  # block
-            time.sleep(_BLOCK_SLEEP)
+        time.sleep(_BLOCK_SLEEP)
     return PushOutcome(pushed=total, dropped=0, stalls=stalls)

@@ -33,7 +33,7 @@ before the clock starts.
 **Determinism contract.**  Every routing decision happens in the source,
 on the same chunk boundaries, through the same partitioner state
 evolution as the single-process replay.  Workers only *count* what
-arrives.  Under a lossless policy (``block``/``spin``) the per-worker
+arrives.  Under the lossless ``block`` policy the per-worker
 counts are therefore byte-identical to ``replay_stream(...).final_loads``
 for every registered scheme -- by construction, not by luck -- no matter
 how the OS schedules the worker processes.  Ring timing can change
@@ -193,7 +193,7 @@ class RuntimeConfig:
 
     #: slots per worker ring.
     capacity: int = 8192
-    #: backpressure policy: "block", "spin" or "drop".
+    #: backpressure policy: "block" or "drop".
     policy: str = "block"
     #: seconds of simulated per-message service cost in each worker.
     service_cost: float = 0.0
@@ -380,17 +380,6 @@ class RuntimeResult:
     def messages_per_second(self) -> float:
         """End-to-end throughput (processed messages over wall time)."""
         return self.processed / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def transport_overhead_ratio(self) -> float:
-        """Source wall time over pure routing time (>= 1.0; 1.0 = free).
-
-        The tracked "transport tax": how much slower the sharded path is
-        than the routing decisions alone.  0.0 when the route stage was
-        too fast to measure.
-        """
-        route = self.stage_seconds.get("route", 0.0)
-        return self.wall_seconds / route if route > 0 else 0.0
 
     def p99_sojourn(self) -> float:
         """p99 end-to-end sojourn in seconds (0.0 if nothing processed)."""
@@ -1196,7 +1185,8 @@ def run_runtime(
     :func:`repro.core.engine.replay_stream` on the same ``keys`` and a
     fresh ``partitioner``; the returned ``routed_loads``,
     ``checkpoint_positions`` and ``imbalance_series`` are the replay's,
-    and under a lossless policy ``worker_loads`` equals ``routed_loads``.
+    and under the lossless ``block`` policy ``worker_loads`` equals
+    ``routed_loads``.
     ``keys`` may be a materialised array or a bounded-memory
     :class:`~repro.core.chunks.ChunkSource` (one fresh pass on the
     source's own chunk grid; ``timestamps`` requires an array input).
@@ -1329,7 +1319,7 @@ def run_runtime(
     dead = sorted(sup.dead)
     lost[dead] = sup.delivered[dead] - worker_loads[dead]
     if config.policy != "drop" and not sup.failures and not plan.specs:
-        # The lossless policies promise exactly this; a mismatch means a
+        # The lossless policy promises exactly this; a mismatch means a
         # ring protocol bug, which must never be reported as a result.
         if not np.array_equal(worker_loads + sup.dropped, routed):
             raise AssertionError(

@@ -112,35 +112,6 @@ class TestDiff:
         assert "does not exist" in capsys.readouterr().err
 
 
-class TestBenchMerge:
-    def test_partial_run_preserves_existing_entries(self, tmp_path):
-        from repro.reports.bench import merge_bench_results, write_bench_snapshot
-
-        write_bench_snapshot(
-            "experiments",
-            [{"name": "fig2", "duration_seconds": 1.0},
-             {"name": "table2", "duration_seconds": 2.0}],
-            directory=tmp_path,
-        )
-        merged = merge_bench_results(
-            "experiments",
-            [{"name": "fig2", "duration_seconds": 0.5}],
-            directory=tmp_path,
-        )
-        by_name = {e["name"]: e for e in merged}
-        assert by_name["fig2"]["duration_seconds"] == 0.5  # updated
-        assert by_name["table2"]["duration_seconds"] == 2.0  # preserved
-
-    def test_merge_without_existing_snapshot(self, tmp_path):
-        from repro.reports.bench import merge_bench_results
-
-        merged = merge_bench_results(
-            "experiments", [{"name": "fig2", "duration_seconds": 1.0}],
-            directory=tmp_path,
-        )
-        assert [e["name"] for e in merged] == ["fig2"]
-
-
 class TestBench:
     def test_bench_snapshot(self, tmp_path):
         rc = main(

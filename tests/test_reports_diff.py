@@ -139,100 +139,6 @@ class TestBenchSnapshotDiff:
         report = diff_artifacts(old, new, tolerance=0.30)
         assert not report.has_regressions
 
-    def _e2e_snapshot(self, tmp_path, name, entry):
-        from repro.reports.bench import write_bench_snapshot
-
-        directory = tmp_path / name
-        directory.mkdir()
-        return write_bench_snapshot(
-            "partitioners", [entry], directory=directory,
-            created_utc="2026-01-01T00:00:00Z",
-        )
-
-    def _e2e_entry(self, **overrides):
-        entry = {
-            "name": "pkg@e2e",
-            "e2e_messages_per_second": 1e6,
-            "p99_sojourn_seconds": 1e-3,
-            "route_seconds": 0.010,
-            "scatter_seconds": 0.004,
-            "flush_stall_seconds": 0.002,
-            "drain_seconds": 0.001,
-            "transport_overhead_ratio": 1.7,
-            "num_messages": 1000,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_stage_breakdown_maps_lower_is_better(self, tmp_path):
-        from repro.reports.diffing import bench_snapshot_artifact
-
-        artifact = bench_snapshot_artifact(
-            {"suite": "partitioners", "results": [self._e2e_entry()]}
-        )
-        by_name = {m.name: m for m in artifact.metrics}
-        for field in (
-            "route_seconds",
-            "scatter_seconds",
-            "flush_stall_seconds",
-            "drain_seconds",
-            "transport_overhead_ratio",
-        ):
-            metric = by_name[f"pkg@e2e.{field}"]
-            assert metric.direction == "lower", field
-
-    def test_transport_overhead_growth_regresses(self, tmp_path):
-        # The ratio shrinking is the whole point of the coalesced
-        # transport path; a snapshot where it grows must gate.
-        old = load_artifact_set(
-            self._e2e_snapshot(tmp_path, "old", self._e2e_entry())
-        )
-        new = load_artifact_set(
-            self._e2e_snapshot(
-                tmp_path, "new",
-                self._e2e_entry(transport_overhead_ratio=3.5),
-            )
-        )
-        report = diff_artifacts(old, new, tolerance=0.30)
-        names = [c.name for c in report.regressions]
-        assert "pkg@e2e.transport_overhead_ratio" in names
-
-    def test_scatter_stall_shrink_improves(self, tmp_path):
-        old = load_artifact_set(
-            self._e2e_snapshot(tmp_path, "old", self._e2e_entry())
-        )
-        new = load_artifact_set(
-            self._e2e_snapshot(
-                tmp_path, "new",
-                self._e2e_entry(
-                    scatter_seconds=0.001, flush_stall_seconds=0.0005
-                ),
-            )
-        )
-        report = diff_artifacts(old, new, tolerance=0.30)
-        assert not report.has_regressions
-        improved = {c.name for c in report.improvements}
-        assert "pkg@e2e.scatter_seconds" in improved
-        assert "pkg@e2e.flush_stall_seconds" in improved
-
-    def test_old_snapshot_without_stage_fields_diffs_clean(self, tmp_path):
-        # Pre-breakdown snapshots lack the stage fields entirely: the
-        # new fields appear as "added" (informational), never gating.
-        bare = self._e2e_entry()
-        for field in (
-            "route_seconds", "scatter_seconds", "flush_stall_seconds",
-            "drain_seconds", "transport_overhead_ratio",
-        ):
-            bare.pop(field)
-        old = load_artifact_set(self._e2e_snapshot(tmp_path, "old", bare))
-        new = load_artifact_set(
-            self._e2e_snapshot(tmp_path, "new", self._e2e_entry())
-        )
-        report = diff_artifacts(old, new, tolerance=0.30)
-        assert not report.has_regressions
-        added = {c.name for c in report.changes if c.status == "added"}
-        assert "pkg@e2e.transport_overhead_ratio" in added
-
     def test_cli_diff_on_bench_snapshots(self, tmp_path, capsys):
         from repro.reports.__main__ import main
 

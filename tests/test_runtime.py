@@ -24,7 +24,6 @@ from repro.runtime import (
     RuntimeResult,
     SpscRing,
     WorkerLoop,
-    bench_throughput_e2e,
     run_runtime,
     runtime_available,
 )
@@ -80,12 +79,6 @@ class TestCountIdentity:
             result.imbalance_series, replay.imbalance_series
         )
 
-    def test_spin_policy_also_lossless(self):
-        result = _run("pkg", 2, policy="spin", capacity=64)
-        np.testing.assert_array_equal(
-            result.worker_loads, _replay("pkg", 2).final_loads
-        )
-
 
 class TestDropPolicy:
     def test_drop_accounting_identity(self):
@@ -102,9 +95,11 @@ class TestDropPolicy:
         )
 
     def test_lossless_policies_never_drop(self):
-        for policy in ("block", "spin"):
-            result = _run("sg", 3, policy=policy, capacity=32)
-            assert result.dropped == 0, policy
+        result = _run("sg", 3, policy="block", capacity=32)
+        assert result.dropped == 0
+        np.testing.assert_array_equal(
+            result.worker_loads, _replay("sg", 3).final_loads
+        )
 
 
 class TestTelemetry:
@@ -179,8 +174,9 @@ class TestWorkerLoop:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="policy"):
-            RuntimeConfig(policy="yolo")
+        for policy in ("yolo", "spin"):
+            with pytest.raises(ValueError, match="policy"):
+                RuntimeConfig(policy=policy)
         with pytest.raises(ValueError, match="mode"):
             RuntimeConfig(mode="cloud")
         with pytest.raises(ValueError, match="capacity"):
@@ -201,60 +197,6 @@ class TestConfigValidation:
             )
 
 
-class TestBenchHarness:
-    def test_entries_shape(self):
-        entries = bench_throughput_e2e(
-            schemes=("pkg", "sg"),
-            num_messages=5_000,
-            num_workers=2,
-            config=RuntimeConfig(mode="simulated"),
-        )
-        assert [e["name"] for e in entries] == ["pkg@e2e", "sg@e2e"]
-        for entry in entries:
-            assert entry["e2e_messages_per_second"] > 0
-            assert entry["p99_sojourn_seconds"] > 0
-            assert entry["mode"] == "simulated"
-            assert entry["dropped"] == 0
-            assert entry["streaming"] is False
-            # The per-stage transport breakdown rides along.
-            for stage_field in (
-                "route_seconds", "scatter_seconds",
-                "flush_stall_seconds", "drain_seconds",
-            ):
-                assert entry[stage_field] >= 0.0
-            assert entry["transport_overhead_ratio"] >= 1.0
-            assert entry["flushes"] >= 2
-
-    def test_streaming_bench_matches_materialized_counts(self):
-        common = dict(
-            schemes=("pkg",),
-            num_messages=5_000,
-            num_workers=2,
-            config=RuntimeConfig(mode="simulated"),
-        )
-        (plain,) = bench_throughput_e2e(**common)
-        (streamed,) = bench_throughput_e2e(streaming=True, **common)
-        assert plain["streaming"] is False
-        assert streamed["streaming"] is True
-        assert streamed["num_messages"] == plain["num_messages"] == 5_000
-
-    def test_e2e_entries_are_diffable(self):
-        from repro.reports.diffing import bench_snapshot_artifact
-
-        entries = bench_throughput_e2e(
-            schemes=("pkg",),
-            num_messages=4_000,
-            num_workers=2,
-            config=RuntimeConfig(mode="simulated"),
-        )
-        artifact = bench_snapshot_artifact(
-            {"suite": "partitioners", "results": entries}
-        )
-        by_name = {m.name: m for m in artifact.metrics}
-        assert by_name["pkg@e2e.e2e_messages_per_second"].direction == "higher"
-        assert by_name["pkg@e2e.p99_sojourn_seconds"].direction == "lower"
-
-
 class TestCli:
     def test_verify_passes(self, capsys):
         code = runtime_main(
@@ -270,25 +212,35 @@ class TestCli:
         assert code == 0
         assert out.count("verify: counts match replay_stream") == 2
 
-    def test_bench_flag_writes_snapshot(self, tmp_path, capsys, monkeypatch):
-        import repro.reports.bench as bench_module
-
-        monkeypatch.setattr(bench_module, "repo_root", lambda: tmp_path)
-        code = runtime_main(
-            [
-                "--schemes", "sg",
-                "--workers", "2",
-                "--messages", "4000",
-                "--mode", "simulated",
-                "--bench",
-            ]
-        )
-        assert code == 0
-        snapshot = bench_module.load_bench_snapshot(
-            tmp_path / "BENCH_partitioners.json"
-        )
-        names = [e["name"] for e in snapshot["results"]]
-        assert names == ["sg@e2e"]
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--policy", "drop", "--recovery", "restart"],
+            ["--capacity", "0"],
+            ["--workers", "0"],
+            ["--flush-size", "0"],
+            ["--chaos", "--workers", "1"],
+            ["--schemes", "nope"],
+            ["--dataset", "nope"],
+            ["--messages", "-5"],
+            ["--streaming", "--messages", "-5"],
+            # An option and a policy value the CLI does not have.
+            ["--bench"],
+            ["--policy", "spin"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_config_is_a_usage_error(self, bad, capsys):
+        # An invalid configuration exits like a bad option: status 2
+        # and a one-line "error:" message, never a traceback.
+        base = ["--mode", "simulated", "--messages", "1000", "--schemes", "pkg"]
+        with pytest.raises(SystemExit) as exc:
+            runtime_main(base + bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (message,) = [line for line in err.splitlines() if "error:" in line]
+        assert message.startswith("python -m repro.runtime: error: ")
 
 
 class TestResultInvariant:

@@ -357,7 +357,7 @@ class TestPushDeadline:
         )
         assert outcome.pushed == 400
 
-    @pytest.mark.parametrize("policy", ["block", "spin"])
+    @pytest.mark.parametrize("policy", ["block"])
     def test_exited_consumer_raises_on_first_stalled_retry(self, policy):
         # The liveness probe says the consumer is gone: the push must
         # escalate on its first full-ring retry, not wait out the

@@ -206,7 +206,6 @@ class TestStageBreakdown:
         assert abs(
             result.wall_seconds - sum(result.stage_seconds.values())
         ) <= 1e-3
-        assert result.transport_overhead_ratio >= 1.0
         assert result.flushes >= 4  # at least one flush per worker
 
     @pytest.mark.parametrize(
